@@ -10,7 +10,7 @@ from .analytics import (
     r_regime_boundary,
     uc_bound,
 )
-from .backtracker import SearchStats, level_profile, solve_all
+from .backtracker import SearchStats, solve_all
 from .generator import sample_instance
 from .model import (
     ConstraintSpec,
@@ -41,7 +41,6 @@ __all__ = [
     "dumps_instance",
     "is_consistent",
     "is_violated",
-    "level_profile",
     "loads_instance",
     "log_exact_expected_nodes",
     "log_expected_solutions",

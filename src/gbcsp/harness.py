@@ -12,6 +12,7 @@ round-trip repr.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +50,8 @@ class ExperimentConfig:
         object.__setattr__(self, "measures", tuple(self.measures))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for m in self.measures:
             if m not in MEASURES:
                 raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
@@ -79,10 +82,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        known = {f: doc[f] for f in (
-            "n", "d", "k", "q", "t_grid", "trials", "master_seed", "measures", "out", "jobs"
-        ) if f in doc}
-        return cls(**known)
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        unknown = sorted(set(doc) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; choose from {names}")
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
+import itertools
+import math
+from dataclasses import replace
+
 import pytest
 
-from gbcsp.backtracker import SearchStats, level_profile, solve_all
+from gbcsp import backtracker
+from gbcsp.backtracker import SearchStats, solve_all
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params
 from gbcsp.oracle import brute_force
@@ -18,6 +23,41 @@ def unconstrained(n, d, k=2):
     return Instance(Params(n=n, d=d, k=k, t=0, q=1), ())
 
 
+def chain(n, d, extra_t=0):
+    """Each (j, j+1) forbids every descending pair, so the solutions are the
+    non-decreasing assignments; extra_t random constraints prune further."""
+    descending = frozenset((a, b) for a in range(d) for b in range(a))
+    q = len(descending)
+    constraints = [ConstraintSpec((j, j + 1), descending) for j in range(n - 1)]
+    if extra_t:
+        extra = sample_instance(Params(n=n, d=d, k=2, t=extra_t, q=q), SeedSpec(98, n))
+        constraints += extra.constraints
+    return Instance(Params(n=n, d=d, k=2, t=len(constraints), q=q), tuple(constraints))
+
+
+_MATRIX_SWEEP = backtracker._matrix_sweep
+
+
+def matrix_solve(inst, collect=False, value_order=None):
+    """The matrix sweep called directly: the reference for the packed path."""
+    n, d = inst.params.n, inst.params.d
+    prepared = backtracker._prepare(inst, value_order)
+    nodes, level_counts, solutions = _MATRIX_SWEEP(n, d, *prepared, collect)
+    return SearchStats(nodes, level_counts[-1], tuple(level_counts), solutions)
+
+
+@pytest.fixture
+def sweeps_used(monkeypatch):
+    """Names of the sweeps solve_all runs, in call order."""
+    used = []
+    for name in ("_packed_sweep", "_matrix_sweep"):
+        def spy(*args, _sweep=getattr(backtracker, name), _name=name):
+            used.append(_name)
+            return _sweep(*args)
+        monkeypatch.setattr(backtracker, name, spy)
+    return used
+
+
 def test_seven_node_example():
     inst = one_constraint((0, 1), {(0, 0)}, n=2, d=2)
     stats = solve_all(inst, collect=True)
@@ -31,7 +71,7 @@ def test_unconstrained_complete_tree():
     stats = solve_all(unconstrained(2, 2))
     assert stats.nodes == 7
     assert stats.solution_count == 4
-    assert level_profile(unconstrained(3, 2)) == [1, 2, 4, 8]
+    assert solve_all(unconstrained(3, 2)).level_counts == (1, 2, 4, 8)
     # nodes of the full tree: 1 + d (d^n - 1) / (d - 1)
     assert solve_all(unconstrained(3, 2)).nodes == 15
     assert solve_all(unconstrained(4, 3)).nodes == 1 + 3 * (3**4 - 1) // 2
@@ -139,3 +179,56 @@ def test_stats_are_plain_data():
     stats = solve_all(unconstrained(2, 2))
     assert isinstance(stats.nodes, int)
     assert isinstance(stats.level_counts, tuple)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_packed_matches_matrix_and_oracle(d, sweeps_used):
+    stream = SeedSpec(97, d).stream("packed-vs-matrix")
+    for trial in range(12):
+        k = 2 + stream.randbelow(2)
+        n = k + stream.randbelow((6 if d <= 3 else 5) - k + 1)
+        if trial % 2:
+            q = d + stream.randbelow(d**k - d + 1)  # non-strict
+        else:
+            q = 1 + stream.randbelow(d - 1)
+        t = stream.randbelow(2 * n + 1)
+        inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(97, trial))
+        report = brute_force(inst)
+        expected = SearchStats(report.node_count, report.level_counts[-1],
+                               report.level_counts, report.solutions)
+        for order in (None, list(reversed(range(d)))):
+            assert solve_all(inst, collect=True, value_order=order) == expected
+            assert matrix_solve(inst, collect=True, value_order=order) == expected
+        assert solve_all(inst) == replace(expected, solutions=None)
+    assert "_matrix_sweep" not in sweeps_used
+
+
+@pytest.mark.parametrize("n, d", [(63, 2), (31, 3)])
+def test_packed_path_up_to_63_bits(n, d, sweeps_used):
+    stats = solve_all(chain(n, d), collect=True)
+    assert stats.level_counts == tuple(math.comb(i + d - 1, d - 1) for i in range(n + 1))
+    assert stats.solutions == tuple(itertools.combinations_with_replacement(range(d), n))
+    for order in (None, list(reversed(range(d)))):
+        inst = chain(n, d, extra_t=n)
+        assert solve_all(inst, collect=True, value_order=order) == matrix_solve(
+            inst, collect=True, value_order=order
+        )
+    assert set(sweeps_used) == {"_packed_sweep"}
+
+
+@pytest.mark.parametrize("n, d", [(64, 2), (32, 3)])
+def test_matrix_path_beyond_63_bits(n, d, sweeps_used):
+    stats = solve_all(chain(n, d), collect=True)
+    assert sweeps_used == ["_matrix_sweep"]
+    assert stats.level_counts == tuple(math.comb(i + d - 1, d - 1) for i in range(n + 1))
+    assert stats.solutions == tuple(itertools.combinations_with_replacement(range(d), n))
+
+
+@pytest.mark.parametrize("n, sweep", [(4, "_packed_sweep"), (64, "_matrix_sweep")])
+def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps_used):
+    monkeypatch.setattr(backtracker, "MAX_LEVEL_ROWS", 8)
+    with pytest.raises(ValueError, match="^depth 4 would hold 16 prefixes, over the budget of 8$"):
+        solve_all(unconstrained(n, 2))
+    assert sweeps_used == [sweep]
+    monkeypatch.setattr(backtracker, "MAX_LEVEL_ROWS", 16)
+    assert solve_all(unconstrained(4, 2)).level_counts == (1, 2, 4, 8, 16)

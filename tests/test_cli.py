@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from gbcsp.cli import main
 from gbcsp.harness import CSV_HEADER
 from gbcsp.model import loads_instance
@@ -103,5 +101,31 @@ def test_verify_subcommand(capsys):
 
 
 def test_invalid_params_surface_as_errors(capsys):
-    with pytest.raises(ValueError, match="arity exceeds"):
-        run(capsys, "predict", "--n", "2", "--d", "2", "--k", "3", "--t", "1", "--q", "1")
+    code, out, err = run(
+        capsys, "predict", "--n", "2", "--d", "2", "--k", "3", "--t", "1", "--q", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "gbcsp predict: error: arity exceeds variables: k=3 > n=2\n"
+
+
+def test_bad_sweep_config_is_a_one_line_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "sweep", "--n", "4", "--d", "2", "--k", "2", "--q", "1",
+        "--t-grid", "0", "--trials", "3", "--seed", "2", "--jobs", "0",
+    )
+    assert code == 2
+    assert err == "gbcsp sweep: error: jobs must be >= 1, got 0\n"
+    code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("gbcsp sweep: error: ") and err.count("\n") == 1
+
+
+def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    run(capsys, *GEN, "--out", str(path))
+    monkeypatch.setattr("gbcsp.backtracker.MAX_LEVEL_ROWS", 8)
+    code, out, err = run(capsys, "solve", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "gbcsp solve: error: depth 2 would hold 9 prefixes, over the budget of 8\n"

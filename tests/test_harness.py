@@ -46,6 +46,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            small_config(jobs=jobs)
+
+    def test_from_doc_rejects_unknown_keys(self):
+        doc = small_config().to_doc()
+        del doc["measures"]
+        doc["mesures"] = ["uc"]
+        with pytest.raises(ValueError, match=r"unknown config keys \['mesures'\]"):
+            ExperimentConfig.from_doc(doc)
+
+    def test_from_doc_rejects_missing_keys(self):
+        doc = small_config().to_doc()
+        del doc["t_grid"], doc["trials"]
+        with pytest.raises(ValueError, match=r"missing config keys \['t_grid', 'trials'\]"):
+            ExperimentConfig.from_doc(doc)
+
 
 class TestSweep:
     def test_unconstrained_point_is_deterministic(self):
