@@ -48,13 +48,13 @@ def sample_incompatible(d: int, k: int, q: int, stream: Stream) -> frozenset[tup
     for j in range(space - q, space):
         pick = stream.randbelow(j + 1)
         chosen.add(j if pick in chosen else pick)
-    return frozenset(_rank_to_tuple(rank, d, k) for rank in chosen)
+    return frozenset([_rank_to_tuple(rank, d, k) for rank in chosen])
 
 
 def sample_constraint(params: Params, stream: Stream) -> ConstraintSpec:
     scope = sample_scope(params.n, params.k, stream)
     incompatible = sample_incompatible(params.d, params.k, params.q, stream)
-    return ConstraintSpec(scope=scope, incompatible=incompatible)
+    return ConstraintSpec(scope, incompatible)
 
 
 def sample_instance(params: Params, seed: SeedSpec, label: str = "instance") -> Instance:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import analytics
 from .backtracker import solve_all
 from .generator import sample_instance
-from .model import Params
+from .model import Params, require_int
 from .rng import SeedSpec
 from .uc import run_uc
 
@@ -46,8 +46,16 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
+        if not isinstance(self.t_grid, (list, tuple)):
+            raise ValueError(f"t_grid must be a list of ints, got {self.t_grid!r}")
+        object.__setattr__(self, "t_grid", tuple(self.t_grid))
         object.__setattr__(self, "measures", tuple(self.measures))
+        for name in ("n", "d", "k", "q", "trials", "master_seed", "jobs"):
+            require_int(getattr(self, name), name)
+        for t in self.t_grid:
+            require_int(t, "t_grid entry")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:

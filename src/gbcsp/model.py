@@ -72,7 +72,7 @@ def validate(params: Params) -> Params:
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConstraintSpec:
     """One constraint: an ordered scope of distinct variables plus the set of
     forbidden value tuples, aligned with scope order."""
@@ -80,17 +80,19 @@ class ConstraintSpec:
     scope: tuple[int, ...]
     incompatible: frozenset[tuple[int, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(int(v) for v in self.scope))
-        object.__setattr__(
-            self, "incompatible", frozenset(tuple(int(a) for a in t) for t in self.incompatible)
-        )
-        k = len(self.scope)
-        if len(set(self.scope)) != k:
-            raise ValueError(f"scope has repeated variables: {self.scope}")
-        for tup in self.incompatible:
+    def __init__(self, scope, incompatible):
+        # hand-written so each normalised field is stored once; the generator
+        # builds one of these per sampled constraint
+        scope = tuple(map(int, scope))
+        incompatible = frozenset([tuple(map(int, t)) for t in incompatible])
+        k = len(scope)
+        if len(set(scope)) != k:
+            raise ValueError(f"scope has repeated variables: {scope}")
+        for tup in incompatible:
             if len(tup) != k:
                 raise ValueError(f"tuple arity {len(tup)} != scope arity {k}")
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "incompatible", incompatible)
 
     def check_against(self, params: Params) -> None:
         if len(self.scope) != params.k:
@@ -200,21 +202,52 @@ def instance_to_doc(instance: Instance) -> dict:
     }
 
 
+def _doc_fields(obj, keys: tuple[str, ...], what: str) -> list:
+    """The values of exactly ``keys`` in a JSON object, in key order."""
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ValueError(f"{what} must have exactly the keys {list(keys)}, got {got}")
+    return [obj[key] for key in keys]
+
+
+def _doc_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def require_int(value, what: str) -> int:
+    """``value`` itself if it is an int and not a bool; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def instance_from_doc(doc: dict) -> Instance:
-    n, d, k = int(doc["n"]), int(doc["d"]), int(doc["k"])
-    raw = doc["constraints"]
-    t = len(raw)
-    sizes = {len(entry["incompatible"]) for entry in raw}
+    """Rebuild an instance from its canonical document.
+
+    Anything but the exact schema (missing or extra keys, non-int or bool
+    numbers, non-list arrays) raises ValueError.
+    """
+    n, d, k, raw = _doc_fields(doc, ("n", "d", "k", "constraints"), "instance document")
+    n, d, k = require_int(n, "n"), require_int(d, "d"), require_int(k, "k")
+    entries = []
+    for i, entry in enumerate(_doc_list(raw, "constraints")):
+        what = f"constraint {i}"
+        scope, incompatible = _doc_fields(entry, ("scope", "incompatible"), what)
+        scope = tuple(require_int(v, f"{what} scope entry") for v in _doc_list(scope, what))
+        tuples = [
+            tuple(require_int(a, f"{what} tuple entry") for a in _doc_list(tup, what))
+            for tup in _doc_list(incompatible, what)
+        ]
+        entries.append((scope, tuples))
+    sizes = {len(tuples) for _, tuples in entries}
     if len(sizes) > 1:
         raise ValueError(f"constraints disagree on forbidden-set size: {sorted(sizes)}")
     q = sizes.pop() if sizes else 1
-    params = Params(n=n, d=d, k=k, t=t, q=q)
+    params = Params(n=n, d=d, k=k, t=len(entries), q=q)
     constraints = tuple(
-        ConstraintSpec(
-            scope=tuple(entry["scope"]),
-            incompatible=frozenset(tuple(v) for v in entry["incompatible"]),
-        )
-        for entry in raw
+        ConstraintSpec(scope=scope, incompatible=frozenset(tuples)) for scope, tuples in entries
     )
     return Instance(params, constraints)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-_MASK64 = (1 << 64) - 1
+_SPAN64 = 1 << 64
+_MASK64 = _SPAN64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
@@ -32,14 +33,20 @@ class Stream:
         self._state = state & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
+        z = self._state = (self._state + _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * _MULT1) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
         return z ^ (z >> 31)
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound); unbiased for any positive bound."""
+        if 1 < bound <= _SPAN64:
+            # the general loop below with words == 1, minus its bookkeeping
+            limit = _SPAN64 - _SPAN64 % bound
+            u = self.next_u64()
+            while u >= limit:
+                u = self.next_u64()
+            return u % bound
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         if bound == 1:
@@ -53,9 +60,6 @@ class Stream:
                 u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % bound
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,16 @@ original instance before being returned (the heuristic is sound but
 incomplete: it can answer "unknown" on satisfiable instances, never the
 reverse).
 
+Draw rule (pinned by the outcome digests in the tests; any change to the
+bookkeeping must keep it): a unit round draws idx = randbelow(#units) and
+serves the idx-th smallest unit constraint id, then gives its variable the
+j-th smallest allowed value for j = randbelow(#allowed); a free round draws
+idx = randbelow(#unset) and assigns the idx-th smallest unset variable the
+value randbelow(d).  The unset variables live in a list kept sorted
+ascending, so the idx-th smallest is ``unset[idx]`` and removing a variable
+is a binary search plus one ``del``.  Leftover variables take their values
+in ascending order.
+
 Only strict instances (q < d) are accepted: a unit then always has at most
 q < d forbidden values, so a satisfying value for it exists.  Empty
 constraints can still arise when two units on the same variable forbid
@@ -25,6 +35,7 @@ complementary values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import Instance, is_consistent
@@ -62,12 +73,13 @@ class UCState:
     @classmethod
     def from_instance(cls, inst: Instance) -> "UCState":
         params = inst.params
-        state = cls(d=params.d, n=params.n, unset=list(range(params.n)))
+        live = {}
+        by_var = {v: set() for v in range(params.n)}
         for cid, c in enumerate(inst.constraints):
-            state.live[cid] = _Reduced(scope=list(c.scope), tuples=set(c.incompatible))
+            live[cid] = _Reduced(list(c.scope), set(c.incompatible))
             for v in c.scope:
-                state.by_var.setdefault(v, set()).add(cid)
-        return state
+                by_var[v].add(cid)
+        return cls(d=params.d, n=params.n, live=live, by_var=by_var, unset=list(range(params.n)))
 
     def _drop(self, cid: int) -> None:
         red = self.live.pop(cid)
@@ -76,10 +88,12 @@ class UCState:
         self.unit_pool.discard(cid)
 
     def assign(self, var: int, value: int) -> None:
-        if var in self.assigned:
-            raise ValueError(f"variable {var} already assigned")
+        unset = self.unset
+        idx = bisect_left(unset, var)
+        if idx == len(unset) or unset[idx] != var:
+            raise ValueError(f"variable {var} is assigned or outside [0, {self.n})")
+        del unset[idx]
         self.assigned[var] = value
-        self.unset.remove(var)
 
 
 def reduce_after_assignment(state: UCState, var: int, value: int) -> UCState:
@@ -143,7 +157,7 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
         except EmptyConstraintSignal:
             return UCOutcome(UNKNOWN)
 
-    for var in sorted(state.unset):
+    for var in state.unset:
         state.assigned[var] = rng.randbelow(d)
     assignment = tuple(state.assigned[i] for i in range(params.n))
     if not is_consistent(inst, assignment):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gbcsp.cli import main
 from gbcsp.harness import CSV_HEADER
 from gbcsp.model import loads_instance
@@ -119,6 +121,41 @@ def test_bad_sweep_config_is_a_one_line_error(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "missing.json"))
     assert code == 2
     assert err.startswith("gbcsp sweep: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("trials", "5", "trials must be an int, got '5'"),
+    ("trials", 2.5, "trials must be an int, got 2.5"),
+    ("trials", True, "trials must be an int, got True"),
+    ("t_grid", [5.5], "t_grid entry must be an int, got 5.5"),
+])
+def test_config_field_types_are_a_one_line_error(tmp_path, capsys, key, value, reason):
+    config = {"n": 4, "d": 2, "k": 2, "q": 1, "t_grid": [2], "trials": 3, "master_seed": 2}
+    config[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"gbcsp sweep: error: {reason}\n"
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.pop("k"),
+     "instance document must have exactly the keys ['n', 'd', 'k', 'constraints'], "
+     "got ['constraints', 'd', 'n']"),
+    (lambda doc: doc.update(n=3.9), "n must be an int, got 3.9"),
+])
+def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, edit, reason):
+    path = tmp_path / "inst.json"
+    run(capsys, *GEN, "--out", str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"gbcsp solve: error: {reason}\n"
 
 
 def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ from gbcsp.generator import (
     sample_instance,
     sample_scope,
 )
-from gbcsp.model import Params, is_violated
+from gbcsp.model import Params, dumps_instance, is_violated
 from gbcsp.rng import SeedSpec
 
 
@@ -119,3 +120,18 @@ def test_violation_probability_matches_tightness():
             hits += 1
     stderr = math.sqrt(p * (1 - p) / draws)
     assert abs(hits / draws - p) < 4 * stderr
+
+
+def test_pinned_instance_documents():
+    # sha256 over canonical documents for a grid of (n, d, k, t, q), seeds and
+    # trials; any change to a draw, its order or the document format shows here
+    grid = [(10, 3, 2, 10, 2), (12, 2, 3, 12, 1), (30, 2, 3, 90, 1),
+            (8, 3, 3, 20, 5), (50, 4, 2, 60, 3), (6, 5, 4, 9, 17)]
+    h = hashlib.sha256()
+    for n, d, k, t, q in grid:
+        params = Params(n=n, d=d, k=k, t=t, q=q)
+        for seed in (0, 1, 2**64 - 1):
+            for trial in range(4):
+                inst = sample_instance(params, SeedSpec(seed, trial), label=f"instance/t{t}")
+                h.update(dumps_instance(inst).encode("utf-8"))
+    assert h.hexdigest() == "60a1c321f8c96e2ca273df599733c191a6de45705cd39fb08887ddd910a6cd77"

@@ -51,6 +51,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             small_config(jobs=jobs)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "5"), ("trials", 2.5), ("trials", True), ("t_grid", [5.5]),
+        ("t_grid", 5), ("n", None), ("master_seed", 1.0), ("jobs", False),
+    ])
+    def test_from_doc_rejects_non_int_fields(self, key, value):
+        doc = small_config().to_doc()
+        doc[key] = value
+        with pytest.raises(ValueError, match="must be .*int"):
+            ExperimentConfig.from_doc(doc)
+
+    def test_rejects_non_string_out(self):
+        with pytest.raises(ValueError, match="out must be"):
+            small_config(out=5)
+
     def test_from_doc_rejects_unknown_keys(self):
         doc = small_config().to_doc()
         del doc["measures"]

@@ -130,6 +130,13 @@ class TestConstructionInvariants:
         with pytest.raises(ValueError, match="repeated"):
             ConstraintSpec((0, 0), frozenset({(0, 1)}))
 
+    def test_values_normalised_to_int(self):
+        np = pytest.importorskip("numpy")
+        c = ConstraintSpec(np.array([2, 0]), frozenset({tuple(np.array([1, 0]))}))
+        assert c == ConstraintSpec((2, 0), frozenset({(1, 0)}))
+        assert all(type(v) is int for v in c.scope)
+        assert all(type(a) is int for t in c.incompatible for a in t)
+
     def test_tuple_arity_checked(self):
         with pytest.raises(ValueError, match="arity"):
             ConstraintSpec((0, 1), frozenset({(0,)}))
@@ -182,3 +189,70 @@ class TestSerialization:
         }
         with pytest.raises(ValueError, match="disagree"):
             instance_from_doc(doc)
+
+
+def _doc():
+    return {
+        "n": 3,
+        "d": 2,
+        "k": 2,
+        "constraints": [
+            {"scope": [0, 1], "incompatible": [[0, 0]]},
+            {"scope": [2, 1], "incompatible": [[1, 0]]},
+        ],
+    }
+
+
+class TestStrictDocuments:
+    def test_canonical_document_loads(self):
+        inst = instance_from_doc(_doc())
+        assert inst.params == Params(n=3, d=2, k=2, t=2, q=1)
+        assert instance_to_doc(inst) == _doc()
+
+    @pytest.mark.parametrize("key", ["n", "d", "k", "constraints"])
+    def test_missing_top_level_key(self, key):
+        doc = _doc()
+        del doc[key]
+        with pytest.raises(ValueError, match="instance document must have exactly the keys"):
+            instance_from_doc(doc)
+
+    def test_extra_top_level_key(self):
+        doc = _doc()
+        doc["extra"] = 1
+        with pytest.raises(ValueError, match=r"got \['constraints', 'd', 'extra', 'k', 'n'\]"):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 3.9), ("n", 3.0), ("d", "2"), ("k", True), ("n", None),
+    ])
+    def test_non_int_parameters(self, key, value):
+        doc = _doc()
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an int"):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"scope": [0, 1]}, "constraint 1 must have exactly the keys"),
+        ({"scope": [0, 1], "incompatible": [[0, 0]], "w": 1}, "constraint 1 must have exactly"),
+        ([[0, 1], [[0, 0]]], "constraint 1 must have exactly the keys"),
+        ({"scope": [0, 1.0], "incompatible": [[0, 0]]}, "constraint 1 scope entry must be an int"),
+        ({"scope": [0, False], "incompatible": [[0, 0]]}, "scope entry must be an int"),
+        ({"scope": [0, 1], "incompatible": [[0, "1"]]}, "constraint 1 tuple entry must be an int"),
+        ({"scope": "01", "incompatible": [[0, 0]]}, "constraint 1 must be a list"),
+        ({"scope": [0, 1], "incompatible": [0]}, "constraint 1 must be a list"),
+    ])
+    def test_malformed_constraint(self, entry, match):
+        doc = _doc()
+        doc["constraints"][1] = entry
+        with pytest.raises(ValueError, match=match):
+            instance_from_doc(doc)
+
+    def test_constraints_must_be_a_list(self):
+        doc = _doc()
+        doc["constraints"] = {}
+        with pytest.raises(ValueError, match="constraints must be a list"):
+            instance_from_doc(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="got list"):
+            loads_instance("[]")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -84,6 +85,14 @@ class TestReduce:
         state.assign(1, 1)  # satisfies the first unit, empties the second
         with pytest.raises(EmptyConstraintSignal):
             reduce_after_assignment(state, 1, 1)
+
+    @pytest.mark.parametrize("var", [0, 2, -1])
+    def test_assign_rejects_assigned_and_unknown_variables(self, var):
+        state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
+        state.assign(0, 1)
+        with pytest.raises(ValueError, match="is assigned or outside"):
+            state.assign(var, 0)
+        assert (state.unset, state.assigned) == ([1], {0: 1})
 
     def test_arity_never_increases(self, param_stream):
         for trial in range(20):
@@ -210,3 +219,24 @@ class TestSuccessRate:
         # density 8 is far above the unsatisfiability threshold ~5.19
         rate = uc_success_rate(Params(n=100, d=2, k=3, t=800, q=1), 2000, 42)
         assert rate < 0.05
+
+
+@pytest.mark.parametrize("params, seed, found, digest", [
+    (Params(n=2000, d=2, k=3, t=4000, q=1), 11, 9,
+     "42b154b4f8fb7034785315d0a84010ed636ff40f92abf3e36b3eba2b296e6ab2"),
+    (Params(n=2000, d=2, k=3, t=5200, q=1), 12, 2,
+     "081b5ba8dcca21f735233d9173d80042d047823a6f8c7964745a5cc15cc3a462"),
+    (Params(n=300, d=3, k=2, t=300, q=2), 13, 7,
+     "ffc3bf15e533bc674f2f2f4307b9874e644e3cf942d0bf646082e1ec9a4e2ca4"),
+], ids=["n2000-t4000", "n2000-t5200", "n300-d3-k2"])
+def test_pinned_outcomes(params, seed, found, digest):
+    # sha256 over the tags and assignments of 20 runs on fresh instances
+    h = hashlib.sha256()
+    tags = []
+    for trial in range(20):
+        spec = SeedSpec(seed, trial)
+        out = run_uc(sample_instance(params, spec), spec)
+        tags.append(out.tag)
+        h.update(f"{out.tag} {out.assignment}\n".encode("utf-8"))
+    assert tags.count(SOLUTION_FOUND) == found
+    assert h.hexdigest() == digest
