@@ -16,12 +16,10 @@ from .model import (
     ConstraintSpec,
     Instance,
     Params,
-    PartialAssignment,
     dumps_instance,
     is_consistent,
     is_violated,
     loads_instance,
-    validate,
 )
 from .rng import SeedSpec
 from .uc import UCOutcome, run_uc, uc_success_rate
@@ -33,7 +31,6 @@ __all__ = [
     "ConstraintSpec",
     "Instance",
     "Params",
-    "PartialAssignment",
     "Prediction",
     "SearchStats",
     "SeedSpec",
@@ -52,5 +49,4 @@ __all__ = [
     "solve_all",
     "uc_bound",
     "uc_success_rate",
-    "validate",
 ]

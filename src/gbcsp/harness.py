@@ -54,6 +54,8 @@ class ExperimentConfig:
             require_int(getattr(self, name), name)
         for t in self.t_grid:
             require_int(t, "t_grid entry")
+        # base parameters no grid point can repair; a bad t only skips its point
+        Params(n=self.n, d=self.d, k=self.k, t=0, q=self.q)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if self.trials < 1:

@@ -7,13 +7,21 @@ p = q / d**k and the density is r = t / n.  The "strict" regime q < d
 (equivalently p < 1/d**(k-1)) is the one where a constraint with at least
 one unassigned variable can always still be satisfied; all closed-form
 analytics in this package require it, while solving does not.
+
+An ``Instance`` holds its constraints as two arrays, scopes and sorted
+forbidden-tuple ranks (layout and the d**k <= 2**64 bound: see
+``Instance``).  The ``ConstraintSpec`` tuple that the oracle, the solver
+and code reading single constraints use is built from them on first use.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,14 @@ class Params:
         return self.d**self.k
 
 
-def validate(params: Params) -> Params:
-    """Re-check all Params invariants and return the validated object."""
-    Params(params.n, params.d, params.k, params.t, params.q)
-    return params
+def _entry(value) -> int:
+    """A scope or tuple entry as an int; numpy integers pass, while bools,
+    floats and everything else raise ValueError instead of being truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"constraint entries must be ints, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, init=False)
@@ -81,10 +93,9 @@ class ConstraintSpec:
     incompatible: frozenset[tuple[int, ...]]
 
     def __init__(self, scope, incompatible):
-        # hand-written so each normalised field is stored once; the generator
-        # builds one of these per sampled constraint
-        scope = tuple(map(int, scope))
-        incompatible = frozenset([tuple(map(int, t)) for t in incompatible])
+        # hand-written so each normalised field is stored once
+        scope = tuple(map(_entry, scope))
+        incompatible = frozenset([tuple(map(_entry, t)) for t in incompatible])
         k = len(scope)
         if len(set(scope)) != k:
             raise ValueError(f"scope has repeated variables: {scope}")
@@ -94,67 +105,127 @@ class ConstraintSpec:
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "incompatible", incompatible)
 
-    def check_against(self, params: Params) -> None:
-        if len(self.scope) != params.k:
-            raise ValueError(f"scope arity {len(self.scope)} != k={params.k}")
-        for v in self.scope:
-            if not 0 <= v < params.n:
-                raise ValueError(f"scope variable {v} outside [0, {params.n})")
-        if len(self.incompatible) != params.q:
-            raise ValueError(
-                f"constraint has {len(self.incompatible)} forbidden tuples, expected q={params.q}"
-            )
-        for tup in self.incompatible:
-            for a in tup:
-                if not 0 <= a < params.d:
-                    raise ValueError(f"tuple value {a} outside [0, {params.d})")
+    @classmethod
+    def _unchecked(cls, scope: list, tuples: list) -> "ConstraintSpec":
+        """From one row of an instance's arrays, whose ints, distinct scope
+        and arities are already established."""
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "scope", tuple(scope))
+        object.__setattr__(spec, "incompatible", frozenset(map(tuple, tuples)))
+        return spec
 
 
-@dataclass(frozen=True)
+def check_array_range(params: Params) -> None:
+    """Refuse parameters whose instances the int64 scope and uint64 rank
+    arrays cannot hold."""
+    if params.d**params.k > 2**64:
+        raise ValueError(f"d^k={params.d ** params.k} > 2^64: tuple ranks do not fit in 64 bits")
+    if params.n > 2**63:
+        raise ValueError(f"n={params.n} > 2^63: variables do not fit in 63 bits")
+
+
+def _powers(d: int, k: int) -> np.ndarray:
+    return np.array([d**e for e in range(k - 1, -1, -1)], dtype=np.uint64)
+
+
+def tuple_ranks(values: np.ndarray, d: int) -> np.ndarray:
+    """Big-endian base-d ranks (uint64) of the value tuples along the last
+    axis; exact whenever d**k <= 2**64, as no partial sum exceeds the rank."""
+    return values.astype(np.uint64) @ _powers(d, values.shape[-1])
+
+
+def rank_tuples(ranks: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Inverse of ``tuple_ranks``: the k base-d digits (uint64) of each rank,
+    most significant first, along a new last axis."""
+    return ranks[..., None] // _powers(d, k) % np.uint64(d)
+
+
+def _first_outside(values: np.ndarray, bound: int, what: str) -> None:
+    bad = (values < 0) | (values >= bound)
+    if bad.any():
+        raise ValueError(f"{what} {values[bad][0]} outside [0, {bound})")
+
+
 class Instance:
-    """Params plus t constraints (duplicates across the list are legal)."""
+    """Params plus t constraints (duplicates across the list are legal).
 
-    params: Params
-    constraints: tuple[ConstraintSpec, ...]
+    The canonical form is two read-only arrays.  ``scopes`` is t x k int64,
+    row i the scope of constraint i in draw order.  ``ranks`` is t x q
+    uint64, row i the ranks of constraint i's forbidden tuples in ascending
+    order; a tuple's rank is its big-endian base-d value (``tuple_ranks``),
+    so rank order is lexicographic tuple order.  The arrays bound the
+    parameters: d**k <= 2**64 and n <= 2**63 (``check_array_range``).
+    ``constraints``, the ConstraintSpec tuple, is built from the arrays on
+    first use and cached.  Equal instances have equal params and the same
+    constraint list.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if len(self.constraints) != self.params.t:
-            raise ValueError(
-                f"instance has {len(self.constraints)} constraints, expected t={self.params.t}"
-            )
-        for c in self.constraints:
-            c.check_against(self.params)
+    __slots__ = ("params", "scopes", "ranks", "_constraints")
 
+    def __init__(self, params: Params, constraints):
+        constraints = tuple(constraints)
+        t, k, q = params.t, params.k, params.q
+        check_array_range(params)
+        if len(constraints) != t:
+            raise ValueError(f"instance has {len(constraints)} constraints, expected t={t}")
+        for c in constraints:
+            if len(c.scope) != k:
+                raise ValueError(f"scope arity {len(c.scope)} != k={k}")
+            if len(c.incompatible) != q:
+                raise ValueError(
+                    f"constraint has {len(c.incompatible)} forbidden tuples, expected q={q}"
+                )
+        # ints beyond int64 make object arrays, which compare just the same
+        scopes = np.array([c.scope for c in constraints]).reshape(t, k)
+        values = np.array([sorted(c.incompatible) for c in constraints]).reshape(t, q, k)
+        _first_outside(scopes, params.n, "scope variable")
+        _first_outside(values, params.d, "tuple value")
+        self._fill(params, scopes.astype(np.int64), tuple_ranks(values, params.d), constraints)
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Values of the first ``depth`` variables, in variable order."""
+    @classmethod
+    def _from_arrays(cls, params: Params, scopes: np.ndarray, ranks: np.ndarray) -> "Instance":
+        """An instance around arrays already in canonical form (not re-checked)."""
+        inst = cls.__new__(cls)
+        inst._fill(params, scopes, ranks, None)
+        return inst
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def _fill(self, params, scopes, ranks, constraints) -> None:
+        scopes.flags.writeable = False
+        ranks.flags.writeable = False
+        self.params, self.scopes, self.ranks = params, scopes, ranks
+        self._constraints = constraints
 
     @property
-    def depth(self) -> int:
-        return len(self.values)
+    def constraints(self) -> tuple[ConstraintSpec, ...]:
+        if self._constraints is None:
+            tuples = rank_tuples(self.ranks, self.params.d, self.params.k).tolist()
+            self._constraints = tuple(map(ConstraintSpec._unchecked, self.scopes.tolist(), tuples))
+        return self._constraints
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (
+            self.params == other.params
+            and np.array_equal(self.scopes, other.scopes)
+            and np.array_equal(self.ranks, other.ranks)
+        )
+
+    def __hash__(self):
+        return hash((self.params, self.scopes.tobytes(), self.ranks.tobytes()))
+
+    def __repr__(self):
+        return f"Instance(params={self.params!r}, constraints={self.constraints!r})"
 
 
-def _prefix_of(assignment) -> Sequence[int]:
-    if isinstance(assignment, PartialAssignment):
-        return assignment.values
-    return assignment
-
-
-def is_violated(constraint: ConstraintSpec, assignment, d: int) -> bool:
+def is_violated(constraint: ConstraintSpec, values: Sequence[int], d: int) -> bool:
     """True iff no completion of the assignment on this scope is compatible.
 
-    Forbidden tuples agreeing with the assigned prefix are counted; the
-    constraint is violated exactly when they cover all d**f completions of
-    its f unassigned variables (f = 0 reduces to a plain membership test).
+    ``values`` assigns variables 0..len(values)-1.  Forbidden tuples agreeing
+    with the assigned prefix are counted; the constraint is violated exactly
+    when they cover all d**f completions of its f unassigned variables
+    (f = 0 reduces to a plain membership test).
     """
-    values = _prefix_of(assignment)
     depth = len(values)
     fixed = [(j, values[v]) for j, v in enumerate(constraint.scope) if v < depth]
     free = len(constraint.scope) - len(fixed)
@@ -168,9 +239,9 @@ def is_violated(constraint: ConstraintSpec, assignment, d: int) -> bool:
     return matching == d**free
 
 
-def is_consistent(instance: Instance, assignment) -> bool:
-    """True iff no constraint of the instance is violated by the assignment."""
-    values = _prefix_of(assignment)
+def is_consistent(instance: Instance, values: Sequence[int]) -> bool:
+    """True iff no constraint of the instance is violated by the assignment
+    of variables 0..len(values)-1."""
     d = instance.params.d
     for c in instance.constraints:
         if is_violated(c, values, d):
@@ -188,16 +259,16 @@ def is_consistent(instance: Instance, assignment) -> bool:
 
 
 def instance_to_doc(instance: Instance) -> dict:
+    params = instance.params
+    # ascending ranks are the lexicographically sorted tuples
+    tuples = rank_tuples(instance.ranks, params.d, params.k).tolist()
     return {
-        "n": instance.params.n,
-        "d": instance.params.d,
-        "k": instance.params.k,
+        "n": params.n,
+        "d": params.d,
+        "k": params.k,
         "constraints": [
-            {
-                "scope": list(c.scope),
-                "incompatible": sorted(list(t) for t in c.incompatible),
-            }
-            for c in instance.constraints
+            {"scope": scope, "incompatible": rows}
+            for scope, rows in zip(instance.scopes.tolist(), tuples)
         ],
     }
 

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .analytics import extend_probability
-from .model import Instance, Params, is_consistent
+from .model import Instance, Params, is_consistent, rank_tuples
 from .rng import SeedSpec
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -75,6 +77,22 @@ def extend_probability_binomial(n: int, k: int, p: Fraction, i: int) -> Fraction
     return 1 - Fraction(p) * Fraction(math.comb(i, k), math.comb(n, k))
 
 
+def _violated_rows(scopes: np.ndarray, ranks: np.ndarray, prefix, n: int, d: int) -> np.ndarray:
+    """``is_violated`` for every row of (scopes, ranks) at once: a row is
+    violated iff its forbidden tuples agreeing with ``prefix`` (the values of
+    variables 0..len(prefix)-1) cover all d**f completions of its f free
+    variables."""
+    k = scopes.shape[1]
+    values = np.zeros(n, dtype=np.uint64)
+    values[: len(prefix)] = prefix
+    fixed = scopes < len(prefix)
+    agree = (rank_tuples(ranks, d, k) == values[scopes][:, None, :]) | ~fixed[:, None, :]
+    matching = agree.all(axis=2).sum(axis=1)
+    # d**f for f free variables; a count above q can never be matched
+    cover = np.array([d**f if d**f <= ranks.shape[1] else -1 for f in range(k + 1)])
+    return matching == cover[k - fixed.sum(axis=1)]
+
+
 def empirical_extend_probability(
     n: int,
     d: int,
@@ -90,9 +108,10 @@ def empirical_extend_probability(
     Samples fresh random constraints and reports the fraction not violated
     by a fixed depth-i assignment (all zeros unless given); by symmetry of
     the uniform tuple selection the choice of assignment is immaterial.
+    The constraints are those of ``samples`` consecutive ``sample_constraint``
+    calls on one stream, drawn and checked in blocks of rows.
     """
-    from .generator import sample_constraint
-    from .model import is_violated
+    from .generator import constraint_blocks
 
     params = Params(n=n, d=d, k=k, t=1, q=q)
     if not 0 <= i <= n - 1:
@@ -103,10 +122,8 @@ def empirical_extend_probability(
         raise ValueError("prefix must assign exactly i in-domain values")
     stream = SeedSpec(master_seed, 0).stream("empirical-extend")
     survived = 0
-    for _ in range(samples):
-        c = sample_constraint(params, stream)
-        if not is_violated(c, prefix, d):
-            survived += 1
+    for scopes, ranks in constraint_blocks(params, samples, stream):
+        survived += len(scopes) - int(_violated_rows(scopes, ranks, prefix, n, d).sum())
     return survived / samples
 
 

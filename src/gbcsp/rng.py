@@ -10,12 +10,19 @@ trial (e.g. instance draws vs. solver randomness).
 
 Bounded integers are drawn by rejection sampling on whole 64-bit words,
 which is exactly uniform for any bound.
+
+SplitMix64 is counter-based: its state advances by the odd constant GAMMA
+on every word, so word j after state s0 is ``mix(s0 + (j+1)*GAMMA mod
+2**64)`` and a whole block of words can be computed at once
+(``Stream.next_block``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+
+import numpy as np
 
 _SPAN64 = 1 << 64
 _MASK64 = _SPAN64 - 1
@@ -37,6 +44,20 @@ class Stream:
         z = ((z ^ (z >> 30)) * _MULT1) & _MASK64
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_block(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a uint64 array, equal to ``count``
+        calls of next_u64 (uint64 arithmetic wraps exactly like the mask)."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MULT1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MULT2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound); unbiased for any positive bound."""

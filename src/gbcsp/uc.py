@@ -15,7 +15,10 @@ constraint gets removed, leftover variables take uniformly random values so
 the result is a concrete assignment, which is re-verified against the
 original instance before being returned (the heuristic is sound but
 incomplete: it can answer "unknown" on satisfiable instances, never the
-reverse).
+reverse).  The re-check reads the instance arrays: the assignment's rank on
+each scope must not be among that row's forbidden ranks.  The reduction
+state is built from the same arrays, one set of value tuples per
+constraint.
 
 Draw rule (pinned by the outcome digests in the tests; any change to the
 bookkeeping must keep it): a unit round draws idx = randbelow(#units) and
@@ -38,7 +41,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .model import Instance, is_consistent
+import numpy as np
+
+# is_consistent is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps uc.is_consistent.
+from .model import Instance, is_consistent, rank_tuples, tuple_ranks  # noqa: F401
 from .rng import SeedSpec
 
 SOLUTION_FOUND = "solution_found"
@@ -73,11 +80,15 @@ class UCState:
     @classmethod
     def from_instance(cls, inst: Instance) -> "UCState":
         params = inst.params
-        live = {}
+        scopes = inst.scopes.tolist()
+        tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
+        live = {
+            cid: _Reduced(scope, set(map(tuple, rows)))
+            for cid, (scope, rows) in enumerate(zip(scopes, tuples))
+        }
         by_var = {v: set() for v in range(params.n)}
-        for cid, c in enumerate(inst.constraints):
-            live[cid] = _Reduced(list(c.scope), set(c.incompatible))
-            for v in c.scope:
+        for cid, scope in enumerate(scopes):
+            for v in scope:
                 by_var[v].add(cid)
         return cls(d=params.d, n=params.n, live=live, by_var=by_var, unset=list(range(params.n)))
 
@@ -121,6 +132,15 @@ def reduce_after_assignment(state: UCState, var: int, value: int) -> UCState:
     return state
 
 
+def satisfies(inst: Instance, assignment) -> bool:
+    """True iff a full assignment violates no constraint: its rank on each
+    scope is not among that row's forbidden ranks (``model.is_consistent``
+    on the instance arrays)."""
+    values = np.asarray(assignment, dtype=np.uint64)[inst.scopes]
+    ranks = tuple_ranks(values, inst.params.d)
+    return not (inst.ranks == ranks[:, None]).any()
+
+
 @dataclass(frozen=True)
 class UCOutcome:
     tag: str
@@ -160,7 +180,7 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
     for var in state.unset:
         state.assigned[var] = rng.randbelow(d)
     assignment = tuple(state.assigned[i] for i in range(params.n))
-    if not is_consistent(inst, assignment):
+    if not satisfies(inst, assignment):
         raise RuntimeError("unit-constraint run produced an unsatisfying assignment (bug)")
     return UCOutcome(SOLUTION_FOUND, assignment)
 

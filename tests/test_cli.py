@@ -128,6 +128,8 @@ def test_bad_sweep_config_is_a_one_line_error(tmp_path, capsys):
     ("trials", 2.5, "trials must be an int, got 2.5"),
     ("trials", True, "trials must be an int, got True"),
     ("t_grid", [5.5], "t_grid entry must be an int, got 5.5"),
+    ("n", -5, "need at least one variable, got n=-5"),
+    ("q", 5, "empty relation: q=5 > d^k=4"),
 ])
 def test_config_field_types_are_a_one_line_error(tmp_path, capsys, key, value, reason):
     config = {"n": 4, "d": 2, "k": 2, "q": 1, "t_grid": [2], "trials": 3, "master_seed": 2}

@@ -2,14 +2,18 @@ import hashlib
 import math
 from collections import Counter
 
+import pytest
+
+from gbcsp import generator
 from gbcsp.generator import (
     _rank_to_tuple,
+    sample_constraint,
     sample_incompatible,
     sample_instance,
     sample_scope,
 )
-from gbcsp.model import Params, dumps_instance, is_violated
-from gbcsp.rng import SeedSpec
+from gbcsp.model import Instance, Params, dumps_instance, is_violated
+from gbcsp.rng import _GAMMA, SeedSpec
 
 
 def test_rank_decode_big_endian():
@@ -135,3 +139,64 @@ def test_pinned_instance_documents():
                 inst = sample_instance(params, SeedSpec(seed, trial), label=f"instance/t{t}")
                 h.update(dumps_instance(inst).encode("utf-8"))
     assert h.hexdigest() == "60a1c321f8c96e2ca273df599733c191a6de45705cd39fb08887ddd910a6cd77"
+
+
+def scalar_instance(params, spec, label):
+    """The reference draw, one sample_constraint call per constraint, and the
+    number of words it consumed."""
+    stream = spec.stream(label)
+    start = stream._state
+    constraints = [sample_constraint(params, stream) for _ in range(params.t)]
+    words = (stream._state - start) * pow(_GAMMA, -1, 2**64) % 2**64
+    return Instance(params, constraints), words
+
+
+@pytest.mark.parametrize("n, d, k, t, q, block_rows", [
+    (10, 3, 2, 20, 2, None),   # q > 1
+    (6, 5, 4, 9, 17, None),    # (d, k, q) = (5, 4, 17), non-strict
+    (5, 2, 2, 0, 1, None),     # t = 0
+    (30, 2, 3, 90, 1, 7),      # 13 blocks, the last one short
+    (3, 2, 3, 12, 8, None),    # k = n and q = d**k: bounds of 1 take no word
+    (64, 2, 64, 6, 3, None),   # d**k = 2**64: the last Floyd word is used whole
+], ids=["q2", "d5-k4-q17", "t0", "multi-block", "unit-bounds", "dk-2-64"])
+def test_block_draws_match_scalar_draws(n, d, k, t, q, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    params = Params(n=n, d=d, k=k, t=t, q=q)
+    for seed in (0, 2**64 - 1):
+        for trial in range(3):
+            spec = SeedSpec(seed, trial)
+            inst = sample_instance(params, spec, label="x")
+            ref, _ = scalar_instance(params, spec, "x")
+            assert dumps_instance(inst) == dumps_instance(ref)
+            assert inst == ref and inst.constraints == ref.constraints
+
+
+@pytest.mark.parametrize("q, block_rows", [(1, None), (2, None), (2, 4)])
+def test_block_draws_drop_rejected_words(q, block_rows, monkeypatch):
+    # d**k = 3**39 ~ 4.05e18 rejects about 12% of Floyd's words
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    params = Params(n=40, d=3, k=39, t=30, q=q)
+    rejected = 0
+    for trial in range(3):
+        spec = SeedSpec(5, trial)
+        ref, words = scalar_instance(params, spec, "x")
+        rejected += words - params.t * (params.k + params.q)
+        assert dumps_instance(sample_instance(params, spec, label="x")) == dumps_instance(ref)
+        # the blocks leave the stream where the scalar draws do
+        block_stream, scalar_stream = spec.stream("y"), spec.stream("y")
+        list(generator.constraint_blocks(params, params.t, block_stream))
+        for _ in range(params.t):
+            sample_constraint(params, scalar_stream)
+        assert block_stream.next_u64() == scalar_stream.next_u64()
+    assert rejected > 0
+
+
+def test_arrays_refuse_parameters_they_cannot_hold():
+    with pytest.raises(ValueError, match=r"^d\^k=36893488147419103232 > 2\^64: tuple ranks"):
+        sample_instance(Params(n=70, d=2, k=65, t=1, q=1), SeedSpec(1, 0))
+    with pytest.raises(ValueError, match=r"> 2\^64"):
+        Instance(Params(n=3, d=2**33, k=2, t=0, q=1), ())
+    with pytest.raises(ValueError, match=r"^n=9223372036854775809 > 2\^63"):
+        sample_instance(Params(n=2**63 + 1, d=2, k=2, t=1, q=1), SeedSpec(1, 0))

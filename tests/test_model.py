@@ -5,14 +5,12 @@ from gbcsp.model import (
     ConstraintSpec,
     Instance,
     Params,
-    PartialAssignment,
     dumps_instance,
     instance_from_doc,
     instance_to_doc,
     is_consistent,
     is_violated,
     loads_instance,
-    validate,
 )
 from gbcsp.rng import SeedSpec
 
@@ -28,7 +26,7 @@ def inst_one(scope, incompatible, n, d, k=None, q=None):
 
 class TestParams:
     def test_derived_quantities(self):
-        p = validate(Params(n=10, d=3, k=2, t=10, q=2))
+        p = Params(n=10, d=3, k=2, t=10, q=2)
         assert p.p == pytest.approx(2 / 9)
         assert p.r == 1.0
         assert p.strict
@@ -63,7 +61,7 @@ class TestParams:
 class TestViolation:
     def test_open_scope_not_violated(self):
         c = ConstraintSpec((0, 1), frozenset({(0, 0)}))
-        assert not is_violated(c, PartialAssignment((0,)), d=2)
+        assert not is_violated(c, (0,), d=2)
 
     def test_completed_forbidden_tuple(self):
         c = ConstraintSpec((0, 1), frozenset({(0, 0)}))
@@ -137,6 +135,17 @@ class TestConstructionInvariants:
         assert all(type(v) is int for v in c.scope)
         assert all(type(a) is int for t in c.incompatible for a in t)
 
+    @pytest.mark.parametrize("scope, tuples", [
+        ((0, 1.7), {(0, 1)}),
+        ((0, 1), {(0, 1.9)}),
+        ((0, True), {(0, 1)}),
+        ((0, 1), {(False, 1)}),
+        (("0", 1), {(0, 1)}),
+    ])
+    def test_non_integral_entries_rejected(self, scope, tuples):
+        with pytest.raises(ValueError, match="constraint entries must be ints"):
+            ConstraintSpec(scope, frozenset(tuples))
+
     def test_tuple_arity_checked(self):
         with pytest.raises(ValueError, match="arity"):
             ConstraintSpec((0, 1), frozenset({(0,)}))
@@ -151,6 +160,8 @@ class TestConstructionInvariants:
             Instance(params, (ConstraintSpec((0, 1), frozenset({(0, 0), (1, 1)})),))
         with pytest.raises(ValueError, match="outside"):
             Instance(params, (ConstraintSpec((0, 1), frozenset({(0, 3)})),))
+        with pytest.raises(ValueError, match=r"^scope variable 1180591620717411303424 outside"):
+            Instance(params, (ConstraintSpec((0, 2**70), frozenset({(0, 0)})),))
 
 
 class TestSerialization:

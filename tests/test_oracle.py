@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gbcsp.model import ConstraintSpec, Instance, Params
+from gbcsp import generator
+from gbcsp.generator import sample_constraint
+from gbcsp.model import ConstraintSpec, Instance, Params, is_violated
+from gbcsp.rng import SeedSpec
 from gbcsp.oracle import (
     brute_force,
     compare_with_solver,
@@ -83,6 +86,26 @@ class TestEmpirical:
         )
         assert abs(a - exact) < 4 * stderr
         assert abs(b - exact) < 4 * stderr
+
+    @pytest.mark.parametrize("n, d, k, q, i, prefix", [
+        (10, 3, 2, 2, 5, None),
+        (12, 2, 3, 1, 11, None),
+        (6, 2, 2, 3, 3, (1, 0, 1)),   # non-strict: one assigned variable can violate
+        (7, 3, 3, 20, 4, (2, 0, 1, 1)),
+        (5, 2, 2, 4, 0, None),        # every tuple forbidden: violated at the root
+    ])
+    def test_survivor_count_matches_scalar_loop(self, n, d, k, q, i, prefix, monkeypatch):
+        # several blocks, so the stream state carries from one to the next
+        monkeypatch.setattr(generator, "BLOCK_ROWS", 4096)
+        samples = 20_000
+        params = Params(n=n, d=d, k=k, t=1, q=q)
+        stream = SeedSpec(8, 0).stream("empirical-extend")
+        values = (0,) * i if prefix is None else prefix
+        survived = sum(
+            not is_violated(sample_constraint(params, stream), values, d) for _ in range(samples)
+        )
+        value = empirical_extend_probability(n, d, k, q, i, samples, master_seed=8, prefix=prefix)
+        assert round(value * samples) == survived
 
     def test_prefix_validation(self):
         with pytest.raises(ValueError, match="prefix"):

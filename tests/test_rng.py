@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gbcsp.rng import SeedSpec
+from gbcsp.rng import _GAMMA, SeedSpec, Stream
 
 
 def test_same_seed_same_sequence():
@@ -26,6 +26,14 @@ def test_pinned_first_draw():
     first = s.next_u64()
     assert 0 <= first < 1 << 64
     assert first == SeedSpec(0, 0).stream().next_u64()
+
+
+@pytest.mark.parametrize("state", [0, (-500 * _GAMMA) % 2**64], ids=["zero", "wraps"])
+def test_next_block_matches_next_u64(state):
+    # the second start passes 2**64 halfway through the block
+    block, scalar = Stream(state), Stream(state)
+    assert block.next_block(1000).tolist() == [scalar.next_u64() for _ in range(1000)]
+    assert block.next_u64() == scalar.next_u64()
 
 
 def test_randbelow_bounds_and_errors():

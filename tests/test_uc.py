@@ -14,6 +14,7 @@ from gbcsp.uc import (
     _Reduced,
     reduce_after_assignment,
     run_uc,
+    satisfies,
     uc_success_rate,
 )
 
@@ -240,3 +241,16 @@ def test_pinned_outcomes(params, seed, found, digest):
         h.update(f"{out.tag} {out.assignment}\n".encode("utf-8"))
     assert tags.count(SOLUTION_FOUND) == found
     assert h.hexdigest() == digest
+
+
+def test_array_recheck_agrees_with_is_consistent(param_stream):
+    seen = {True: 0, False: 0}
+    for trial in range(60):
+        params = random_strict_params(param_stream, max_n=6, t_factor=4)
+        inst = sample_instance(params, SeedSpec(919, trial))
+        for _ in range(10):
+            values = tuple(param_stream.randbelow(params.d) for _ in range(params.n))
+            expected = is_consistent(inst, values)
+            assert satisfies(inst, values) == expected
+            seen[expected] += 1
+    assert min(seen.values()) > 50
