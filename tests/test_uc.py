@@ -229,7 +229,11 @@ class TestSuccessRate:
      "081b5ba8dcca21f735233d9173d80042d047823a6f8c7964745a5cc15cc3a462"),
     (Params(n=300, d=3, k=2, t=300, q=2), 13, 7,
      "ffc3bf15e533bc674f2f2f4307b9874e644e3cf942d0bf646082e1ec9a4e2ca4"),
-], ids=["n2000-t4000", "n2000-t5200", "n300-d3-k2"])
+    # q=3 over k=3: forbidden sets keep several tuples through two
+    # reductions, and units then ban two or three values
+    (Params(n=60, d=4, k=3, t=240, q=3), 14, 9,
+     "b68b8535fa57deec589d36428563cc625bebfa9f31658c7dbb8e84379d74d4b1"),
+], ids=["n2000-t4000", "n2000-t5200", "n300-d3-k2", "n60-d4-k3-q3"])
 def test_pinned_outcomes(params, seed, found, digest):
     # sha256 over the tags and assignments of 20 runs on fresh instances
     h = hashlib.sha256()
