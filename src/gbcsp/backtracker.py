@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, is_consistent
+from .model import Instance, is_consistent, rank_tuples
 
 # Largest level, in prefixes, that solve_all will allocate (512 MiB as
 # packed int64 codes).
@@ -65,19 +65,19 @@ def _value_dtype(d: int):
     return np.uint32
 
 
-def _check_at_depth(constraint, d: int, last_var: int):
-    """Blocking subcodes for rows right after ``last_var`` is assigned.
+def _check_at_depth(scope, tuples, d: int, last_var: int):
+    """Blocking subcodes for rows right after ``last_var`` is assigned, for
+    the constraint on ``scope`` forbidding the distinct value tuples ``tuples``.
 
     Returns (cols, weights, blocked) where a row is violated iff its
     weighted code over cols equals one of blocked, or None when no partial
     assignment at this depth can violate the constraint.
     """
-    scope = constraint.scope
     fixed_positions = [j for j, v in enumerate(scope) if v <= last_var]
     free = len(scope) - len(fixed_positions)
     cover = d**free
     counts: dict[int, int] = {}
-    for tup in constraint.incompatible:
+    for tup in tuples:
         code = 0
         for w, j in enumerate(fixed_positions):
             code += tup[j] * d**w
@@ -151,10 +151,11 @@ def _prepare(inst: Instance, value_order):
         raise ValueError("d**k too large for 64-bit tuple codes")
 
     checks_at: list[list] = [[] for _ in range(n)]
-    for c in inst.constraints:
-        depths = [max(c.scope)] if params.strict else sorted(c.scope)
+    tuples = rank_tuples(inst.ranks, d, params.k).tolist()
+    for scope, rows in zip(inst.scopes.tolist(), tuples):
+        depths = [max(scope)] if params.strict else sorted(scope)
         for v in depths:
-            chk = _check_at_depth(c, d, v)
+            chk = _check_at_depth(scope, rows, d, v)
             if chk is not None:
                 checks_at[v].append(chk)
 

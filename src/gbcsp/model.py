@@ -10,8 +10,9 @@ analytics in this package require it, while solving does not.
 
 An ``Instance`` holds its constraints as two arrays, scopes and sorted
 forbidden-tuple ranks (layout and the d**k <= 2**64 bound: see
-``Instance``).  The ``ConstraintSpec`` tuple that the oracle, the solver
-and code reading single constraints use is built from them on first use.
+``Instance``).  The solver and the unit-constraint heuristic read the
+arrays; the ``ConstraintSpec`` tuple that the oracle and code reading
+single constraints use is built from them on first use.
 """
 
 from __future__ import annotations

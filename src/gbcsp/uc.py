@@ -7,26 +7,45 @@ values; otherwise it assigns a uniformly random value to a uniformly random
 unset variable.  After each assignment every constraint containing the
 variable is reduced: if the assigned value appears in none of its forbidden
 tuples at that variable's position the constraint is satisfied and removed;
-otherwise only the forbidden tuples agreeing with the value survive, the
-variable is projected out of scope and tuples, and duplicates collapse.
-A constraint whose scope empties while forbidden tuples survive is an empty
-constraint: the run stops and reports that it cannot decide.  If every
-constraint gets removed, leftover variables take uniformly random values so
-the result is a concrete assignment, which is re-verified against the
-original instance before being returned (the heuristic is sound but
-incomplete: it can answer "unknown" on satisfiable instances, never the
-reverse).  The re-check reads the instance arrays: the assignment's rank on
-each scope must not be among that row's forbidden ranks.  The reduction
-state is built from the same arrays, one set of value tuples per
-constraint.
+otherwise only the forbidden tuples agreeing with the value survive and the
+variable leaves the scope.  A constraint whose scope empties while forbidden
+tuples survive is an empty constraint: the run stops and reports that it
+cannot decide.  If every constraint gets removed, leftover variables take
+uniformly random values so the result is a concrete assignment, which is
+re-verified against the original instance before being returned (the
+heuristic is sound but incomplete: it can answer "unknown" on satisfiable
+instances, never the reverse).  The re-check reads the instance arrays: the
+assignment's rank on each scope must not be among that row's forbidden
+ranks.
+
+State.  Everything is a flat list of ints built from the instance arrays by
+a few numpy calls, so a run allocates no object per constraint:
+
+- ``var_entries`` lists, for each variable, the flat scope positions
+  ``cid * k + pos`` holding it, in ascending constraint id; variable v's
+  entries are ``var_entries[var_start[v]:var_start[v + 1]]`` (a stable
+  argsort of the flattened scopes).
+- ``digits[(cid * k + pos) * q + j]`` is the value at scope position pos of
+  constraint cid's j-th forbidden tuple (rank order).
+- ``masks[cid]`` has bit j set while forbidden tuple j survives; 0 means the
+  constraint is satisfied and gone.  ``free[cid]`` counts its unassigned
+  variables, its arity; ``units`` holds the ids with arity 1, ascending.
+
+Assigning ``var <- value`` clears, in each live constraint holding var, the
+bits of tuples whose digit at var's position differs from value.  This is
+the same as projecting: every surviving tuple agrees with the assignment on
+every assigned position, so dropping those positions maps distinct
+survivors to distinct projected tuples.  Whether any tuple survives, the
+arity and a unit's banned values (the survivors' digits at its one
+unassigned position) are therefore read off the mask unchanged.
 
 Draw rule (pinned by the outcome digests in the tests; any change to the
 bookkeeping must keep it): a unit round draws idx = randbelow(#units) and
 serves the idx-th smallest unit constraint id, then gives its variable the
 j-th smallest allowed value for j = randbelow(#allowed); a free round draws
 idx = randbelow(#unset) and assigns the idx-th smallest unset variable the
-value randbelow(d).  The unset variables live in a list kept sorted
-ascending, so the idx-th smallest is ``unset[idx]`` and removing a variable
+value randbelow(d).  The unset variables and the units live in lists kept
+sorted ascending, so the idx-th smallest is one index and removing an entry
 is a binary search plus one ``del``.  Leftover variables take their values
 in ascending order.
 
@@ -38,8 +57,8 @@ complementary values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,43 +79,46 @@ class EmptyConstraintSignal(Exception):
 
 
 @dataclass
-class _Reduced:
-    scope: list[int]
-    tuples: set[tuple[int, ...]]
-
-
-@dataclass
 class UCState:
-    """Mutable reduction state of one run."""
+    """Mutable reduction state of one run (layout: module docstring)."""
 
-    d: int
     n: int
-    assigned: dict[int, int] = field(default_factory=dict)
-    live: dict[int, _Reduced] = field(default_factory=dict)
-    by_var: dict[int, set[int]] = field(default_factory=dict)
-    unit_pool: set[int] = field(default_factory=set)
-    unset: list[int] = field(default_factory=list)
+    k: int
+    q: int
+    scopes: list[int]
+    digits: list[int]
+    var_start: list[int]
+    var_entries: list[int]
+    masks: list[int]
+    free: list[int]
+    live: int
+    units: list[int]
+    unset: list[int]
+    assigned: dict[int, int]
 
     @classmethod
     def from_instance(cls, inst: Instance) -> "UCState":
         params = inst.params
-        scopes = inst.scopes.tolist()
-        tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
-        live = {
-            cid: _Reduced(scope, set(map(tuple, rows)))
-            for cid, (scope, rows) in enumerate(zip(scopes, tuples))
-        }
-        by_var = {v: set() for v in range(params.n)}
-        for cid, scope in enumerate(scopes):
-            for v in scope:
-                by_var[v].add(cid)
-        return cls(d=params.d, n=params.n, live=live, by_var=by_var, unset=list(range(params.n)))
-
-    def _drop(self, cid: int) -> None:
-        red = self.live.pop(cid)
-        for v in red.scope:
-            self.by_var[v].discard(cid)
-        self.unit_pool.discard(cid)
+        n, k, t, q = params.n, params.k, params.t, params.q
+        flat = inst.scopes.ravel()
+        # numpy's stable sort is a radix sort for 8- and 16-bit integers, so
+        # sort in the narrowest dtype holding 0..n-1
+        order = np.argsort(flat.astype(np.min_scalar_type(n - 1)), kind="stable")
+        var_start = np.searchsorted(flat[order], np.arange(n + 1))
+        digits = rank_tuples(inst.ranks, params.d, k).transpose(0, 2, 1)
+        return cls(
+            n=n, k=k, q=q,
+            scopes=flat.tolist(),
+            digits=digits.ravel().tolist(),
+            var_start=var_start.tolist(),
+            var_entries=order.tolist(),
+            masks=[(1 << q) - 1] * t,
+            free=[k] * t,
+            live=t,
+            units=[],
+            unset=list(range(n)),
+            assigned={},
+        )
 
     def assign(self, var: int, value: int) -> None:
         unset = self.unset
@@ -106,6 +128,15 @@ class UCState:
         del unset[idx]
         self.assigned[var] = value
 
+    def unit(self, cid: int) -> tuple[int, set[int]]:
+        """The unassigned variable of unit ``cid`` and the values it bans there."""
+        k, q, mask = self.k, self.q, self.masks[cid]
+        for f in range(cid * k, cid * k + k):
+            var = self.scopes[f]
+            if var not in self.assigned:
+                return var, {self.digits[f * q + j] for j in range(q) if mask >> j & 1}
+        raise ValueError(f"constraint {cid} has no unassigned variable")
+
 
 def reduce_after_assignment(state: UCState, var: int, value: int) -> UCState:
     """Reduce every live constraint containing ``var`` after ``var <- value``.
@@ -113,22 +144,31 @@ def reduce_after_assignment(state: UCState, var: int, value: int) -> UCState:
     Raises EmptyConstraintSignal if some constraint ends with an empty scope
     and surviving forbidden tuples; otherwise returns the mutated state.
     """
-    for cid in sorted(state.by_var.get(var, ())):
-        red = state.live[cid]
-        pos = red.scope.index(var)
-        survivors = {t for t in red.tuples if t[pos] == value}
-        if not survivors:
-            # value never forbidden at var's position: constraint satisfied
-            state._drop(cid)
+    k, q = state.k, state.q
+    masks, free, digits, units = state.masks, state.free, state.digits, state.units
+    for f in state.var_entries[state.var_start[var]:state.var_start[var + 1]]:
+        cid = f // k
+        mask = masks[cid]
+        if not mask:
             continue
-        new_scope = red.scope[:pos] + red.scope[pos + 1 :]
-        if not new_scope:
+        row = f * q
+        for j in range(q):
+            if digits[row + j] != value:
+                mask &= ~(1 << j)
+        left = free[cid] - 1
+        if not mask:
+            # value never forbidden at var's position: constraint satisfied
+            masks[cid] = 0
+            state.live -= 1
+            if not left:
+                del units[bisect_left(units, cid)]
+            continue
+        if not left:
             raise EmptyConstraintSignal(f"constraint {cid} emptied by {var} <- {value}")
-        red.scope = new_scope
-        red.tuples = {t[:pos] + t[pos + 1 :] for t in survivors}
-        if len(new_scope) == 1:
-            state.unit_pool.add(cid)
-    state.by_var.pop(var, None)
+        masks[cid] = mask
+        free[cid] = left
+        if left == 1:
+            insort(units, cid)
     return state
 
 
@@ -161,11 +201,9 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
     d = params.d
 
     while state.live:
-        if state.unit_pool:
-            cid = sorted(state.unit_pool)[rng.randbelow(len(state.unit_pool))]
-            red = state.live[cid]
-            var = red.scope[0]
-            banned = {t[0] for t in red.tuples}
+        if state.units:
+            cid = state.units[rng.randbelow(len(state.units))]
+            var, banned = state.unit(cid)
             allowed = [v for v in range(d) if v not in banned]
             value = allowed[rng.randbelow(len(allowed))]
         else:

@@ -1,0 +1,46 @@
+"""The benchmark's tracer wraps package attributes by name from outside the
+package; these tests keep those names and the per-round hook in place."""
+
+from pathlib import Path
+
+from gbcsp import uc
+from gbcsp.generator import sample_instance
+from gbcsp.model import Params
+from gbcsp.rng import SeedSpec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_trace_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    for owner, attr, name in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_one_reduction_per_round(monkeypatch):
+    # every round assigns exactly one variable through UCState.assign and then
+    # calls the module-level reduce_after_assignment once
+    calls = {"assign": 0, "reduce": 0}
+    assign, reduce = uc.UCState.assign, uc.reduce_after_assignment
+
+    def counting_assign(state, var, value):
+        calls["assign"] += 1
+        return assign(state, var, value)
+
+    def counting_reduce(state, var, value):
+        calls["reduce"] += 1
+        return reduce(state, var, value)
+
+    monkeypatch.setattr(uc.UCState, "assign", counting_assign)
+    monkeypatch.setattr(uc, "reduce_after_assignment", counting_reduce)
+    params = Params(n=60, d=4, k=3, t=240, q=3)
+    tags = set()
+    for trial in range(20):
+        spec = SeedSpec(21, trial)
+        calls.update(assign=0, reduce=0)
+        out = uc.run_uc(sample_instance(params, spec), spec)
+        tags.add(out.tag)
+        assert calls["reduce"] == calls["assign"] > 0
+    assert tags == {uc.SOLUTION_FOUND, uc.UNKNOWN}

@@ -11,7 +11,6 @@ from gbcsp.uc import (
     UNKNOWN,
     EmptyConstraintSignal,
     UCState,
-    _Reduced,
     reduce_after_assignment,
     run_uc,
     satisfies,
@@ -31,16 +30,36 @@ def build(n, d, constraints, q=None):
     )
 
 
+def reduced(state):
+    """{cid: (remaining scope, projected forbidden tuples)} for every live
+    constraint, rebuilt from the flat state: the surviving tuples are the
+    mask's bits, projected onto the positions of unassigned variables."""
+    k, q = state.k, state.q
+    out = {}
+    for cid, mask in enumerate(state.masks):
+        if not mask:
+            continue
+        cells = [f for f in range(cid * k, (cid + 1) * k) if state.scopes[f] not in state.assigned]
+        tuples = {
+            tuple(state.digits[f * q + j] for f in cells) for j in range(q) if mask >> j & 1
+        }
+        out[cid] = ([state.scopes[f] for f in cells], tuples)
+    assert len(out) == state.live
+    assert all(state.free[cid] == len(scope) for cid, (scope, _) in out.items())
+    assert state.units == sorted(cid for cid, (scope, _) in out.items() if len(scope) == 1)
+    return out
+
+
 class TestReduce:
     def test_keep_and_project_to_unit(self):
         inst = build(2, 2, [((0, 1), {(0, 0), (1, 1)})])
         state = UCState.from_instance(inst)
         state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
-        red = state.live[0]
-        assert red.scope == [1]
-        assert red.tuples == {(0,)}
-        assert state.unit_pool == {0}
+        scope, tuples = reduced(state)[0]
+        assert scope == [1]
+        assert tuples == {(0,)}
+        assert state.units == [0]
 
     def test_full_trace_serving_the_unit(self):
         # variable 0 <- 0 keeps the constraint as a unit forbidding value 0
@@ -49,14 +68,14 @@ class TestReduce:
         state = UCState.from_instance(inst)
         state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
-        red = state.live[0]
-        assert (red.scope, red.tuples) == ([1], {(0,)})
-        banned = {t[0] for t in red.tuples}
+        assert reduced(state)[0] == ([1], {(0,)})
+        var, banned = state.unit(0)
+        assert (var, banned) == (1, {0})
         allowed = [v for v in range(2) if v not in banned]
         assert allowed == [1]  # the only satisfying value
         state.assign(1, 1)
         reduce_after_assignment(state, 1, 1)
-        assert state.live == {}
+        assert reduced(state) == {}
         assert state.assigned == {0: 0, 1: 1}
 
     def test_value_absent_removes_constraint(self):
@@ -64,12 +83,15 @@ class TestReduce:
         state = UCState.from_instance(inst)
         state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
-        assert state.live == {}
-        assert state.unit_pool == set()
+        assert reduced(state) == {}
+        assert state.units == []
 
     def test_unit_hit_raises_empty_signal(self):
-        state = UCState(d=2, n=2, live={0: _Reduced([1], {(0,)})},
-                        by_var={1: {0}}, unit_pool={0}, unset=[0, 1])
+        # 0 <- 0 leaves a unit forbidding value 0 of variable 1
+        state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
+        state.assign(0, 0)
+        reduce_after_assignment(state, 0, 0)
+        assert reduced(state) == {0: ([1], {(0,)})}
         state.assign(1, 0)
         with pytest.raises(EmptyConstraintSignal):
             reduce_after_assignment(state, 1, 0)
@@ -80,9 +102,11 @@ class TestReduce:
         state = UCState.from_instance(inst)
         state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
-        assert len(state.unit_pool) == 2
-        bans = sorted(next(iter(state.live[cid].tuples))[0] for cid in state.live)
+        assert len(state.units) == 2
+        live = reduced(state)
+        bans = sorted(next(iter(tuples))[0] for _, tuples in live.values())
         assert bans == [0, 1]
+        assert [state.unit(cid) for cid in state.units] == [(1, {0}), (1, {1})]
         state.assign(1, 1)  # satisfies the first unit, empties the second
         with pytest.raises(EmptyConstraintSignal):
             reduce_after_assignment(state, 1, 1)
@@ -102,7 +126,7 @@ class TestReduce:
                 continue
             inst = sample_instance(params, SeedSpec(313, trial))
             state = UCState.from_instance(inst)
-            arity = {cid: len(red.scope) for cid, red in state.live.items()}
+            arity = {cid: len(scope) for cid, (scope, _) in reduced(state).items()}
             for var in range(params.n):
                 value = param_stream.randbelow(params.d)
                 state.assign(var, value)
@@ -110,9 +134,9 @@ class TestReduce:
                     reduce_after_assignment(state, var, value)
                 except EmptyConstraintSignal:
                     break
-                for cid, red in state.live.items():
-                    assert len(red.scope) <= arity[cid]
-                    arity[cid] = len(red.scope)
+                for cid, (scope, _) in reduced(state).items():
+                    assert len(scope) <= arity[cid]
+                    arity[cid] = len(scope)
 
 
 class TestReductionSemantics:
@@ -143,6 +167,7 @@ class TestReductionSemantics:
             if failed:
                 continue
             checked += 1
+            live = reduced(state)
             rest = [v for v in range(params.n) if v not in assigned]
             for completion in itertools.product(range(params.d), repeat=len(rest)):
                 full = list(range(params.n))
@@ -151,8 +176,8 @@ class TestReductionSemantics:
                 for v, a in zip(rest, completion):
                     full[v] = a
                 reduced_ok = all(
-                    tuple(full[v] for v in red.scope) not in red.tuples
-                    for red in state.live.values()
+                    tuple(full[v] for v in scope) not in tuples
+                    for scope, tuples in live.values()
                 )
                 assert reduced_ok == is_consistent(inst, tuple(full))
 
