@@ -81,6 +81,8 @@ def test_fixed_seed_medium_instance_matches_brute_force():
     params = Params(n=6, d=3, k=2, t=6, q=2)
     inst = sample_instance(params, SeedSpec(123456, 0))
     stats = solve_all(inst, collect=True)
+    # a strict solve reads the arrays and never builds the ConstraintSpec tuple
+    assert inst._constraints is None
     report = brute_force(inst)
     assert set(stats.solutions) == set(report.solutions)
     assert stats.nodes == 1 + sum(3 * c for c in report.level_counts[:-1])
