@@ -8,6 +8,7 @@ is asserted as stated and fails honestly, with the failing combinations in
 the message.  All other criteria pass.
 """
 
+import hashlib
 import math
 import time
 
@@ -64,6 +65,7 @@ def test_criterion_1_counting_semantics():
     t0 = time.time()
     stream = SeedSpec(MASTER, 0).stream("acceptance-c1")
     checked = 0
+    drawn = hashlib.sha256()
     for idx in range(200):
         k = 2 + stream.randbelow(2)
         n = k + stream.randbelow(6 - k + 1)
@@ -71,6 +73,7 @@ def test_criterion_1_counting_semantics():
         q = 1 + stream.randbelow(d - 1)
         t = stream.randbelow(3 * n + 1)
         params = Params(n=n, d=d, k=k, t=t, q=q)
+        drawn.update(repr(params).encode("utf-8"))
         inst = sample_instance(params, SeedSpec(MASTER, idx), label="c1")
         stats = solve_all(inst, collect=True)
         oracle = brute_force(inst)
@@ -82,6 +85,8 @@ def test_criterion_1_counting_semantics():
     report("C1 counting semantics", True,
            f"{checked} instances match brute force exactly in {elapsed:.1f}s")
     assert checked >= 200
+    # the same 200 parameter sets, whichever code draws them
+    assert drawn.hexdigest() == "c357c854e2fc7943c998957063c2ea5b5909cb11280256b823a9d60c2718899d"
     assert elapsed < 60.0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -331,3 +332,50 @@ class TestAnalyticParams:
     def test_from_params(self):
         ap = AnalyticParams.from_params(Params(n=10, d=3, k=2, t=10, q=2))
         assert (ap.d, ap.k, ap.p, ap.r) == (3.0, 2, 2 / 9, 1.0)
+
+
+def _pinned_grid():
+    # every regime, near-band warnings at n = 10**4 and two synthetic band hits
+    for d in (2, 3, 5):
+        for k in (2, 3, 4):
+            for q in sorted({1, d - 1}):
+                r0 = r_regime_boundary(d, k, q / d**k)
+                for n in (10, 300, 10_000):
+                    for mult in (0.3, 0.9, 1.0, 1.2, 4.0):
+                        yield Params(n=n, d=d, k=k, t=max(1, round(mult * r0 * n)), q=q), 1e-9
+    for t in (10, 20):
+        yield Params(n=10, d=3, k=2, t=t, q=2), 0.48
+    yield Params(n=10, d=3, k=2, t=10, q=2), 0.001
+
+
+def test_pinned_predictions():
+    # sha256 over repr(predict(params, band=band)); any change to a field,
+    # a warning or a float's last bit shows here
+    h = hashlib.sha256()
+    regimes = set()
+    for params, band in _pinned_grid():
+        pred = predict(params, band=band)
+        regimes.add(pred.regime)
+        h.update(repr(pred).encode("utf-8"))
+    assert regimes == {"subcritical", "critical", "supercritical"}
+    assert h.hexdigest() == "4ce8012f10b024c4e378f7e94d9228ae2e414e4d9678a03bfd1e6d4eeab7a307"
+
+
+def _reference_log_nodes(params):
+    """The sum with each level's survival taken as float(Fraction)."""
+    terms = [0.0]
+    for i in range(params.n):
+        g = float(extend_probability(i, params))
+        terms.append((i + 1) * math.log(params.d) + params.t * math.log(g))
+    m = max(terms)
+    return m + math.log(math.fsum(math.exp(x - m) for x in terms))
+
+
+def test_exact_sum_matches_fraction_reference():
+    for d in (2, 3, 5):
+        for k in (2, 3, 4):
+            for q in range(1, d):
+                for n in (k, 7, 40):
+                    for t in (0, 1, n, 3 * n, 50 * n):
+                        params = Params(n=n, d=d, k=k, t=t, q=q)
+                        assert log_exact_expected_nodes(params) == _reference_log_nodes(params), params
