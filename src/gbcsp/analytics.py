@@ -7,7 +7,10 @@ Exact quantities
   * log_exact_expected_nodes: ln of 1 + d * sum_i d**i * g_i**t, the expected
     search-tree size of the all-solutions backtracker, evaluated end-to-end
     in the log domain (the sum overflows any fixed-width float well before
-    n reaches interesting sizes).
+    n reaches interesting sizes).  Each g_i is one int/int true division
+    (D P(n,k) - q P(i,k)) / (D P(n,k)), with D = d**k and P the falling
+    factorial; Python rounds it correctly, so it equals
+    float(extend_probability(i)) bit for bit.
   * log_expected_solutions: ln of d**n * (1-p)**t.
 
 Thresholds
@@ -35,7 +38,11 @@ Asymptotics
     r = r0 (flat boundary max):     phi(1)/2  * sqrt(2 pi n / -f''(1))
     r < r0 (boundary max, f'(1)>0): phi(1) / (d**(1 - r/r0) - 1)
   The boundary between the cases is measure zero, so case selection uses a
-  relative band |r - r0| <= band * r0 (default 1e-9).
+  relative band |r - r0| <= band * r0 (default 1e-9).  Inside the band with
+  r > r0, F still comes from the interior maximum while zeta reads 1.
+
+  predict bisects for zeta at most once, and its tol governs every
+  asymptotic field: zeta, F, the prefactor and the asymptote.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from fractions import Fraction
 from .model import Params
 
 CRITICAL_BAND = 1e-9
+DEFAULT_TOL = 1e-12
 NEAR_BAND_FACTOR = 1e3  # "near the critical band" = within band * this
 
 
@@ -88,24 +96,14 @@ class AnalyticParams:
 # --- exact path ---------------------------------------------------------
 
 
-def extend_probability_rational(i: int, n: int, k: int, p: Fraction) -> Fraction:
-    """1 - p * i(i-1)...(i-k+1) / (n(n-1)...(n-k+1)) in exact arithmetic."""
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"level {i} outside [0, {n - 1}]")
-    num, den = 1, 1
-    for j in range(k):
-        num *= i - j
-        den *= n - j
-    return 1 - Fraction(p) * Fraction(num, den)
-
-
 def extend_probability(i: int, params: Params) -> Fraction:
     """Exact rational survival probability of one random constraint at level i."""
     if not params.strict:
         raise RegimeError(f"extend probability needs q < d, got q={params.q}, d={params.d}")
-    return extend_probability_rational(
-        i, params.n, params.k, Fraction(params.q, params.d**params.k)
-    )
+    if not 0 <= i <= params.n - 1:
+        raise ValueError(f"level {i} outside [0, {params.n - 1}]")
+    den = params.d**params.k * math.perm(params.n, params.k)
+    return Fraction(den - params.q * math.perm(i, params.k), den)
 
 
 def extend_probability_float(i: int, n: int, k: int, p: float) -> float:
@@ -115,7 +113,12 @@ def extend_probability_float(i: int, n: int, k: int, p: float) -> float:
     return 1.0 - p * prod
 
 
-def _logsumexp(terms) -> float:
+def _log_node_sum(d: float, t: float, survivals) -> float:
+    """ln(1 + sum_i d**(i+1) * g_i**t) over the per-level survivals g_i, by
+    one log-sum-exp over the n+1 terms."""
+    ln_d = math.log(d)
+    terms = [0.0]
+    terms.extend((i + 1) * ln_d + t * math.log(g) for i, g in enumerate(survivals))
     m = max(terms)
     if math.isinf(m):
         return m
@@ -131,26 +134,19 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def log_exact_expected_nodes(params: Params) -> float:
-    """ln(1 + d * sum_{i<n} d**i * g_i**t), stable log-sum-exp over n+1 terms."""
+    """ln(1 + d * sum_{i<n} d**i * g_i**t), each g_i correctly rounded."""
     if not params.strict:
         raise RegimeError(f"expected-node formula needs q < d, got q={params.q}, d={params.d}")
-    ln_d = math.log(params.d)
-    terms = [0.0]
-    for i in range(params.n):
-        g = float(extend_probability(i, params))
-        terms.append((i + 1) * ln_d + params.t * math.log(g))
-    return _logsumexp(terms)
+    n, k, q = params.n, params.k, params.q
+    den = params.d**k * math.perm(n, k)
+    survivals = ((den - q * math.perm(i, k)) / den for i in range(n))
+    return _log_node_sum(params.d, params.t, survivals)
 
 
 def log_exact_expected_nodes_at(n: int, ap: AnalyticParams) -> float:
     """Same sum with a real-valued constraint count t = r * n."""
-    t = ap.r * n
-    ln_d = math.log(ap.d)
-    terms = [0.0]
-    for i in range(n):
-        g = extend_probability_float(i, n, ap.k, ap.p)
-        terms.append((i + 1) * ln_d + t * math.log(g))
-    return _logsumexp(terms)
+    survivals = (extend_probability_float(i, n, ap.k, ap.p) for i in range(n))
+    return _log_node_sum(ap.d, ap.r * n, survivals)
 
 
 def log_expected_solutions(params: Params) -> float:
@@ -202,7 +198,7 @@ def rate_second(x: float, ap: AnalyticParams) -> float:
     return -r * p * k * ((k - 1) * x ** (k - 2) + p * x ** (2 * k - 2)) / (1.0 - p * x**k) ** 2
 
 
-def rate_argmax(ap: AnalyticParams, tol: float = 1e-12) -> float:
+def rate_argmax(ap: AnalyticParams, tol: float = DEFAULT_TOL) -> float:
     """Unique interior zero of the rate derivative, for r > r0, by bisection.
 
     The derivative is strictly decreasing with f'(0) = ln d > 0 > f'(1), so
@@ -230,15 +226,19 @@ def rate_argmax(ap: AnalyticParams, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def rate_max(ap: AnalyticParams, tol: float = 1e-12) -> float:
+def _peak(ap: AnalyticParams, tol: float) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of the rate function on [0, 1]; bisects only
+    for r > r0, where the maximum leaves x = 1."""
+    x = rate_argmax(ap, tol) if ap.r > r_regime_boundary(ap.d, ap.k, ap.p) else 1.0
+    return x, rate_function(x, ap)
+
+
+def rate_max(ap: AnalyticParams, tol: float = DEFAULT_TOL) -> float:
     """F(r): maximum of the rate function on [0, 1]; always positive."""
-    r0 = r_regime_boundary(ap.d, ap.k, ap.p)
-    if ap.r > r0:
-        return rate_function(rate_argmax(ap, tol), ap)
-    return math.log(ap.d) + ap.r * math.log1p(-ap.p)
+    return _peak(ap, tol)[1]
 
 
-def rate_max_stationary_form(ap: AnalyticParams, tol: float = 1e-12) -> float:
+def rate_max_stationary_form(ap: AnalyticParams, tol: float = DEFAULT_TOL) -> float:
     """Algebraically equivalent form of F(r) for r > r0, obtained by
     eliminating r through the stationarity condition; used as a cross-check."""
     z = rate_argmax(ap, tol)
@@ -271,38 +271,41 @@ def classify_regime(ap: AnalyticParams, band: float = CRITICAL_BAND) -> str:
     return "supercritical" if ap.r > r0 else "subcritical"
 
 
-def log_prefactor_at(n: int, ap: AnalyticParams, band: float = CRITICAL_BAND) -> tuple[float, str]:
-    """ln prefactor(n, r) and the regime that selected its formula."""
+def _critical_log_prefactor(n: int, ap: AnalyticParams) -> float:
+    """ln of phi(1)/2 * sqrt(2 pi n / -f''(1)), the flat-boundary prefactor."""
+    return (
+        log_weight(1.0, ap)
+        - math.log(2.0)
+        + 0.5 * math.log(2.0 * math.pi * n / -rate_second(1.0, ap))
+    )
+
+
+def _asymptotics(
+    n: int, ap: AnalyticParams, tol: float, band: float
+) -> tuple[str, float, float, float, float]:
+    """(regime, zeta, F, ln prefactor, ln(1 + prefactor * exp(n F))), all from
+    one call of _peak."""
     regime = classify_regime(ap, band)
+    x, big_f = _peak(ap, tol)
     if regime == "supercritical":
-        z = rate_argmax(ap)
-        lp = log_weight(z, ap) + 0.5 * math.log(2.0 * math.pi * n / -rate_second(z, ap))
+        lp = log_weight(x, ap) + 0.5 * math.log(2.0 * math.pi * n / -rate_second(x, ap))
     elif regime == "critical":
-        lp = (
-            log_weight(1.0, ap)
-            - math.log(2.0)
-            + 0.5 * math.log(2.0 * math.pi * n / -rate_second(1.0, ap))
-        )
+        # with r > r0 inside the band, F keeps the interior maximum
+        x = 1.0
+        lp = _critical_log_prefactor(n, ap)
     else:
         r0 = r_regime_boundary(ap.d, ap.k, ap.p)
         # denominator d**(1 - r/r0) - 1 > 0 strictly for r < r0
         lp = log_weight(1.0, ap) - math.log(math.expm1((1.0 - ap.r / r0) * math.log(ap.d)))
-    return lp, regime
+    return regime, x, big_f, lp, _logaddexp(0.0, lp + n * big_f)
 
 
 def log_asymptotic_nodes_at(
     n: int, ap: AnalyticParams, band: float = CRITICAL_BAND
 ) -> tuple[float, float, str]:
     """(ln prefactor, ln(1 + prefactor * exp(n F)), regime)."""
-    lp, regime = log_prefactor_at(n, ap, band)
-    big_f = rate_max(ap)
-    return lp, _logaddexp(0.0, lp + n * big_f), regime
-
-
-def prefactor_and_asymptote(params: Params, band: float = CRITICAL_BAND) -> tuple[float, float]:
-    ap = AnalyticParams.from_params(params)
-    lp, lta, _ = log_asymptotic_nodes_at(params.n, ap, band)
-    return lp, lta
+    regime, _, _, lp, lta = _asymptotics(n, ap, DEFAULT_TOL, band)
+    return lp, lta, regime
 
 
 # --- aggregate ------------------------------------------------------------
@@ -324,14 +327,11 @@ class Prediction:
     warnings: tuple[str, ...] = ()
 
 
-def predict(params: Params, tol: float = 1e-12, band: float = CRITICAL_BAND) -> Prediction:
+def predict(params: Params, tol: float = DEFAULT_TOL, band: float = CRITICAL_BAND) -> Prediction:
     """Fill every Prediction field for a strict parameter set with t >= 1."""
     ap = AnalyticParams.from_params(params)
     r0 = r_regime_boundary(ap.d, ap.k, ap.p)
-    regime = classify_regime(ap, band)
-    zeta = rate_argmax(ap, tol) if regime == "supercritical" else 1.0
-    big_f = rate_max(ap, tol)
-    lp, lta, _ = log_asymptotic_nodes_at(params.n, ap, band)
+    regime, zeta, big_f, lp, lta = _asymptotics(params.n, ap, tol, band)
     warnings: list[str] = []
     if regime == "critical":
         warnings.append(
@@ -339,11 +339,7 @@ def predict(params: Params, tol: float = 1e-12, band: float = CRITICAL_BAND) -> 
             "prefactor was used (the off-boundary formulas are near-singular here)"
         )
     elif abs(ap.r - r0) <= band * NEAR_BAND_FACTOR * r0:
-        lp_c = (
-            log_weight(1.0, ap)
-            - math.log(2.0)
-            + 0.5 * math.log(2.0 * math.pi * params.n / -rate_second(1.0, ap))
-        )
+        lp_c = _critical_log_prefactor(params.n, ap)
         lta_c = _logaddexp(0.0, lp_c + params.n * big_f)
         warnings.append(
             f"density is within {band * NEAR_BAND_FACTOR:g} (relative) of r0; the "

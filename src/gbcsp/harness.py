@@ -68,27 +68,9 @@ class ExperimentConfig:
         if not self.measures:
             raise ValueError("at least one measure is required")
 
-    @classmethod
-    def with_r_grid(cls, r_grid, **kwargs) -> "ExperimentConfig":
-        """Convenience: real densities are rounded to t = round(r * n); the
-        realized r = t/n is what gets reported."""
-        n = kwargs["n"]
-        t_grid = tuple(int(round(r * n)) for r in r_grid)
-        return cls(t_grid=t_grid, **kwargs)
-
     def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "q": self.q,
-            "t_grid": list(self.t_grid),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "measures": list(self.measures),
-            "out": self.out,
-            "jobs": self.jobs,
-        }
+        doc = dataclasses.asdict(self)
+        return {**doc, "t_grid": list(self.t_grid), "measures": list(self.measures)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
@@ -152,7 +134,6 @@ def run_point(params: Params, trials: int, master_seed: int, measures, jobs: int
             records = list(pool.map(_run_one_trial, tasks, chunksize=max(1, trials // (jobs * 8))))
     else:
         records = [_run_one_trial(t) for t in tasks]
-    records.sort(key=lambda rec: rec[0])
     return records
 
 
@@ -174,7 +155,8 @@ def summarize_point(params: Params, records, measures) -> SummaryRow:
     if params.strict:
         log_t_exact = analytics.log_exact_expected_nodes(params)
         if params.t >= 1:
-            _, log_t_asym = analytics.prefactor_and_asymptote(params)
+            ap = analytics.AnalyticParams.from_params(params)
+            _, log_t_asym, _ = analytics.log_asymptotic_nodes_at(params.n, ap)
     if "nodes" in measures:
         values = [rec[1] for rec in records]
         mean, stderr = _mean_stderr(values)
@@ -225,10 +207,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-_FIELDS = (
-    "t", "r", "trials", "mean_nodes", "stderr_nodes", "sat_fraction",
-    "uc_success", "log_T_exact", "log_T_asym", "z_score",
-)
+_FIELDS = tuple(CSV_HEADER.split(","))
 
 
 def format_csv(rows) -> str:
@@ -259,14 +238,18 @@ def parse_csv(text: str) -> list[SummaryRow]:
     return rows
 
 
-def emit_csv(rows, path: str) -> None:
+def _write_table(rows, path: str, text_of, what: str) -> None:
     if not rows:
         raise ValueError("refusing to emit an empty table")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_csv(rows))
+            fh.write(text_of(rows))
     except OSError as exc:
-        raise OSError(f"could not write CSV to {path}: {exc}") from exc
+        raise OSError(f"could not write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(rows, path: str) -> None:
+    _write_table(rows, path, format_csv, "CSV")
 
 
 def format_plotdata(rows) -> str:
@@ -278,10 +261,4 @@ def format_plotdata(rows) -> str:
 
 
 def emit_plotdata(rows, path: str) -> None:
-    if not rows:
-        raise ValueError("refusing to emit an empty table")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_plotdata(rows))
-    except OSError as exc:
-        raise OSError(f"could not write plot data to {path}: {exc}") from exc
+    _write_table(rows, path, format_plotdata, "plot data")

@@ -70,10 +70,6 @@ class Params:
         """True iff q < d, i.e. p < 1/d**(k-1)."""
         return self.q < self.d
 
-    @property
-    def tuple_count(self) -> int:
-        return self.d**self.k
-
 
 def _entry(value) -> int:
     """A scope or tuple entry as an int; numpy integers pass, while bools,

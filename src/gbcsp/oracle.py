@@ -142,6 +142,16 @@ def log_fraction(value: Fraction) -> float:
     return math.log(value.numerator) - math.log(value.denominator)
 
 
+def random_strict_params(stream, max_n: int = 6, max_d: int = 3, t_factor: int = 3) -> Params:
+    """Small strict parameter set drawn from ``stream``: k, n, d, q, t in turn."""
+    k = 2 + stream.randbelow(2)
+    n = k + stream.randbelow(max_n - k + 1)
+    d = 2 + stream.randbelow(max_d - 1)
+    q = 1 + stream.randbelow(d - 1)
+    t = stream.randbelow(t_factor * n + 1)
+    return Params(n=n, d=d, k=k, t=t, q=q)
+
+
 def verification_report(
     master_seed: int = 1,
     instances: int = 50,
@@ -160,12 +170,7 @@ def verification_report(
     nodes_ok = counts_ok = sols_ok = order_ok = True
     detail = ""
     for idx in range(instances):
-        k = 2 + stream.randbelow(2)
-        n = k + stream.randbelow(max_n - k + 1)
-        d = 2 + stream.randbelow(2)
-        q = 1 + stream.randbelow(d - 1)
-        t = stream.randbelow(3 * n + 1)
-        params = Params(n=n, d=d, k=k, t=t, q=q)
+        params = random_strict_params(stream, max_n=max_n)
         inst = sample_instance(params, SeedSpec(master_seed, idx + 1))
         report = compare_with_solver(inst)
         if not report.matches["nodes"]:
@@ -181,7 +186,7 @@ def verification_report(
         if list(sols) != sorted(sols):
             order_ok = False
             detail = f"instance {idx}: solutions not in lexicographic order"
-        rev = solve_all(inst, value_order=list(reversed(range(d))))
+        rev = solve_all(inst, value_order=list(reversed(range(params.d))))
         if rev.nodes != report.node_count:
             nodes_ok = False
             detail = f"instance {idx}: node count depends on value order"

@@ -1,17 +1,6 @@
 import pytest
 
-from gbcsp.model import Params
 from gbcsp.rng import SeedSpec
-
-
-def random_strict_params(stream, max_n=6, max_d=3, t_factor=3) -> Params:
-    """Small strict parameter set drawn from a Stream (shared test helper)."""
-    k = 2 + stream.randbelow(2)
-    n = k + stream.randbelow(max_n - k + 1)
-    d = 2 + stream.randbelow(max_d - 1)
-    q = 1 + stream.randbelow(d - 1)
-    t = stream.randbelow(t_factor * n + 1)
-    return Params(n=n, d=d, k=k, t=t, q=q)
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from gbcsp.oracle import (
     brute_force,
     empirical_extend_probability,
     extend_probability_binomial,
+    random_strict_params,
 )
 from gbcsp.analytics import extend_probability
 from gbcsp.rng import SeedSpec
@@ -67,12 +68,7 @@ def test_criterion_1_counting_semantics():
     checked = 0
     drawn = hashlib.sha256()
     for idx in range(200):
-        k = 2 + stream.randbelow(2)
-        n = k + stream.randbelow(6 - k + 1)
-        d = 2 + stream.randbelow(2)
-        q = 1 + stream.randbelow(d - 1)
-        t = stream.randbelow(3 * n + 1)
-        params = Params(n=n, d=d, k=k, t=t, q=q)
+        params = random_strict_params(stream)
         drawn.update(repr(params).encode("utf-8"))
         inst = sample_instance(params, SeedSpec(MASTER, idx), label="c1")
         stats = solve_all(inst, collect=True)

@@ -11,15 +11,12 @@ from gbcsp.analytics import (
     classify_regime,
     extend_probability,
     extend_probability_float,
-    extend_probability_rational,
     log_asymptotic_nodes_at,
     log_exact_expected_nodes,
     log_exact_expected_nodes_at,
     log_expected_solutions,
-    log_prefactor_at,
     log_weight,
     predict,
-    prefactor_and_asymptote,
     r_critical,
     r_regime_boundary,
     rate_argmax,
@@ -50,7 +47,6 @@ class TestExtendProbability:
         assert extend_probability(2, params) < 1
 
     def test_rational_values(self):
-        assert extend_probability_rational(5, 10, 2, Fraction(1, 5)) == Fraction(43, 45)
         params = Params(n=10, d=3, k=2, t=1, q=2)
         assert extend_probability(5, params) == 1 - Fraction(2, 9) * Fraction(20, 90)
 
@@ -235,7 +231,7 @@ class TestPrefactor:
 
     def test_subcritical_prefactor_finite_and_positive(self):
         ap = AnalyticParams(2.0, 3, 1 / 8, 0.5 * r_regime_boundary(2, 3, 1 / 8))
-        lp, regime = log_prefactor_at(100, ap)
+        lp, _, regime = log_asymptotic_nodes_at(100, ap)
         assert regime == "subcritical"
         assert math.isfinite(lp)
 
@@ -299,10 +295,23 @@ class TestPredict:
 
     def test_prefactor_and_asymptote_wrapper(self):
         params = Params(n=10, d=3, k=2, t=10, q=2)
-        lp, lta = prefactor_and_asymptote(params)
+        lp, lta, _ = log_asymptotic_nodes_at(params.n, AnalyticParams.from_params(params))
         pred = predict(params)
         assert lp == pred.log_prefactor
         assert lta == pred.log_T_asym
+
+    def test_tol_governs_prefactor_and_asymptote(self):
+        params = Params(n=200, d=2, k=3, t=1000, q=1)
+        ap = AnalyticParams.from_params(params)
+        pred = predict(params, tol=1e-3)
+        z = pred.zeta
+        assert pred.regime == "supercritical"
+        assert abs(z - predict(params).zeta) > 1e-6  # the coarse tol shows in zeta
+        assert pred.F == rate_function(z, ap)
+        lp = log_weight(z, ap) + 0.5 * math.log(2 * math.pi * params.n / -rate_second(z, ap))
+        assert pred.log_prefactor == pytest.approx(lp, rel=1e-12, abs=0.0)
+        lta = lp + params.n * pred.F + math.log1p(math.exp(-(lp + params.n * pred.F)))
+        assert pred.log_T_asym == pytest.approx(lta, rel=1e-12, abs=0.0)
 
     def test_near_band_warning(self):
         d, k, p = 2, 3, 1 / 8
@@ -378,4 +387,5 @@ def test_exact_sum_matches_fraction_reference():
                 for n in (k, 7, 40):
                     for t in (0, 1, n, 3 * n, 50 * n):
                         params = Params(n=n, d=d, k=k, t=t, q=q)
-                        assert log_exact_expected_nodes(params) == _reference_log_nodes(params), params
+                        exact = log_exact_expected_nodes(params)
+                        assert exact == _reference_log_nodes(params), params

@@ -8,10 +8,8 @@ from gbcsp import backtracker
 from gbcsp.backtracker import SearchStats, solve_all
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params
-from gbcsp.oracle import brute_force
+from gbcsp.oracle import brute_force, random_strict_params
 from gbcsp.rng import SeedSpec
-
-from conftest import random_strict_params
 
 
 def one_constraint(scope, incompatible, n, d):

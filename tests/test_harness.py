@@ -28,12 +28,6 @@ def small_config(**overrides):
 
 
 class TestConfig:
-    def test_r_grid_rounds_to_integer_t(self):
-        config = ExperimentConfig.with_r_grid(
-            [0.96, 1.5], n=10, d=2, k=2, q=1, trials=1, master_seed=1
-        )
-        assert config.t_grid == (10, 15)
-
     def test_doc_round_trip(self):
         config = small_config()
         assert ExperimentConfig.from_doc(config.to_doc()) == config

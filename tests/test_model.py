@@ -12,9 +12,8 @@ from gbcsp.model import (
     is_violated,
     loads_instance,
 )
+from gbcsp.oracle import random_strict_params
 from gbcsp.rng import SeedSpec
-
-from conftest import random_strict_params
 
 
 def inst_one(scope, incompatible, n, d, k=None, q=None):

@@ -5,6 +5,7 @@ import pytest
 
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent
+from gbcsp.oracle import random_strict_params
 from gbcsp.rng import SeedSpec
 from gbcsp.uc import (
     SOLUTION_FOUND,
@@ -16,8 +17,6 @@ from gbcsp.uc import (
     satisfies,
     uc_success_rate,
 )
-
-from conftest import random_strict_params
 
 
 def build(n, d, constraints, q=None):
