@@ -198,14 +198,21 @@ def rate_second(x: float, ap: AnalyticParams) -> float:
     return -r * p * k * ((k - 1) * x ** (k - 2) + p * x ** (2 * k - 2)) / (1.0 - p * x**k) ** 2
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
+
+
 def rate_argmax(ap: AnalyticParams, tol: float = DEFAULT_TOL) -> float:
     """Unique interior zero of the rate derivative, for r > r0, by bisection.
 
     The derivative is strictly decreasing with f'(0) = ln d > 0 > f'(1), so
     bisection always converges; iteration continues to (at least) the
     requested tolerance on both bracket width and residual, and to the
-    floating-point floor when that is stricter.
+    floating-point floor when that is stricter.  Raises ValueError unless
+    tol is finite and in (0, 1).
     """
+    _check_tol(tol)
     r0 = r_regime_boundary(ap.d, ap.k, ap.p)
     if ap.r <= r0:
         raise RegimeError(f"no interior maximizer: r={ap.r} <= r0={r0}")
@@ -228,7 +235,8 @@ def rate_argmax(ap: AnalyticParams, tol: float = DEFAULT_TOL) -> float:
 
 def _peak(ap: AnalyticParams, tol: float) -> tuple[float, float]:
     """(x, f(x)) at the maximum of the rate function on [0, 1]; bisects only
-    for r > r0, where the maximum leaves x = 1."""
+    for r > r0, where the maximum leaves x = 1.  tol is checked either way."""
+    _check_tol(tol)
     x = rate_argmax(ap, tol) if ap.r > r_regime_boundary(ap.d, ap.k, ap.p) else 1.0
     return x, rate_function(x, ap)
 

@@ -8,30 +8,37 @@ instantiation is one search-tree node, plus the root, so
     nodes = 1 + sum_{i=0}^{n-1} d * c_i,
 
 where c_i is the number of consistent depth-i prefixes.  Because the full
-consistent tree is enumerated, that count does not depend on visit order,
-and the implementation below sweeps level by level over numpy arrays of
-consistent prefixes instead of recursing; its observable outputs (node
-count, level profile, solution set) are identical to the depth-first
-traversal and are cross-checked against a naive re-check-everything oracle
-in the test suite.
+consistent tree is enumerated, that count does not depend on visit order.
+The implementation walks the tree depth first over numpy blocks of
+prefixes rather than one prefix at a time.  A stack holds one frame per
+depth, (depth, prefixes, next offset); the driver takes the next
+``BLOCK_ROWS`` prefixes (or fewer) of the top frame, extends them by one
+variable, filters them, adds the survivors to c_{depth+1} and pushes them as
+a new frame.  The observable outputs (node count, level profile, solution
+set) are those of the one-prefix-at-a-time traversal, and are cross-checked
+against a naive re-check-everything oracle in the test suite.  A frame holds
+at most d * BLOCK_ROWS prefixes, so at most n * d * BLOCK_ROWS prefixes are
+live however wide the widest level is, and a count-only solve refuses no
+size.  Counts are Python ints and therefore exact at any size.
 
 Each prefix is one int64 code with b = ceil(log2 d) bits per variable, the
-most recently assigned variable in the lowest field.  Extending a level is
+most recently assigned variable in the lowest field.  Extending a block is
 ``(code << b) | value``, and each check is a (mask, patterns) pair: a prefix
 violates it iff ``code & mask`` equals one of the patterns.  Bit fields
 rather than base-d digits make that one mask-compare for every d.  When
-n * b > 63 the codes do not fit, and the sweep falls back to a (rows, depth)
-matrix of values with weighted base-d codes per check.
+n * b > 63 the codes do not fit, and the same driver extends (rows, depth)
+matrices of values instead, with weighted base-d codes per check.
 
 For strict instances (q < d) a constraint can only fail once its scope is
 fully assigned, so each constraint is checked exactly at the depth that
-completes it.  Non-strict instances check a constraint at every depth that
-touches it, counting how many of its forbidden tuples agree with the
-assigned prefix (violated iff they cover all completions).
+completes it; the packed layout builds those checks straight from the
+instance's scope and rank arrays.  Non-strict instances check a constraint
+at every depth that touches it, counting how many of its forbidden tuples
+agree with the assigned prefix (violated iff they cover all completions).
 
-A level is materialised whole, so ``solve_all`` refuses, before allocating,
-any level of more than ``MAX_LEVEL_ROWS`` prefixes.  Counts are Python ints
-and therefore exact at any size.
+``collect=True`` must hold every solution, so it refuses once the collected
+count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
+concatenated, sorted and decoded.
 """
 
 from __future__ import annotations
@@ -42,9 +49,12 @@ import numpy as np
 
 from .model import Instance, is_consistent, rank_tuples
 
-# Largest level, in prefixes, that solve_all will allocate (512 MiB as
-# packed int64 codes).
-MAX_LEVEL_ROWS = 2**26
+# Prefixes the depth-first driver extends in one kernel call.  At most
+# n * d * BLOCK_ROWS prefixes are live; smaller blocks cost more calls,
+# larger ones more memory and cache misses.
+BLOCK_ROWS = 2**14
+# Most solutions collect=True will hold (512 MiB as packed int64 codes).
+MAX_COLLECTED_SOLUTIONS = 2**26
 
 
 @dataclass(frozen=True)
@@ -129,94 +139,135 @@ def _packed_check(cols, blocked, d: int, b: int, depth: int):
     return mask, patterns
 
 
-def _check_budget(depth: int, rows: int) -> None:
-    if rows > MAX_LEVEL_ROWS:
-        raise ValueError(
-            f"depth {depth} would hold {rows} prefixes, over the budget of {MAX_LEVEL_ROWS}"
-        )
-
-
-def _prepare(inst: Instance, value_order):
-    """Value order, per-depth checks and root consistency, shared by both sweeps."""
+def _prepare(inst: Instance, value_order) -> list[int]:
+    """The value order, after checking it and the tuple-code width."""
     params = inst.params
-    n, d = params.n, params.d
     if value_order is None:
-        order = list(range(d))
+        order = list(range(params.d))
     else:
         order = list(value_order)
-        if sorted(order) != list(range(d)):
+        if sorted(order) != list(range(params.d)):
             raise ValueError("value_order must be a permutation of range(d)")
-
     if params.d**params.k > 2**62:
         raise ValueError("d**k too large for 64-bit tuple codes")
+    return order
 
-    checks_at: list[list] = [[] for _ in range(n)]
-    tuples = rank_tuples(inst.ranks, d, params.k).tolist()
+
+def _root_rows(inst: Instance) -> int:
+    """Rows of the depth-0 frame: the empty prefix, or none when it is
+    already inconsistent (every tuple forbidden, q = d**k), which the
+    per-depth checks never test."""
+    return 1 if inst.params.strict or is_consistent(inst, ()) else 0
+
+
+def _checks_at(inst: Instance) -> list[list]:
+    """``_check_at_depth`` checks grouped by depth: depth max(scope) only for
+    strict instances, every scope variable otherwise."""
+    params = inst.params
+    checks_at: list[list] = [[] for _ in range(params.n)]
+    tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
     for scope, rows in zip(inst.scopes.tolist(), tuples):
-        depths = [max(scope)] if params.strict else sorted(scope)
-        for v in depths:
-            chk = _check_at_depth(scope, rows, d, v)
+        for v in [max(scope)] if params.strict else sorted(scope):
+            chk = _check_at_depth(scope, rows, params.d, v)
             if chk is not None:
                 checks_at[v].append(chk)
-
-    # The level sweeps only test constraints touched by the newest variable;
-    # a root-level violation (every tuple forbidden, q = d**k) must be
-    # handled up front.
-    root_ok = params.strict or is_consistent(inst, ())
-    return order, checks_at, root_ok
+    return checks_at
 
 
-def _packed_sweep(n: int, d: int, order, checks_at, root_ok: bool, collect: bool):
-    """Level sweep over one int64 code per prefix; needs n * b <= 63."""
+def _strict_tables(inst: Instance, b: int) -> list[list]:
+    """Packed (mask, patterns) checks of a strict instance grouped by depth,
+    in one numpy pass: constraint i is checked at depth max(scope), and
+    each of its q forbidden tuples is one pattern."""
+    params = inst.params
+    scopes = inst.scopes
+    depths = scopes.max(axis=1)
+    shifts = (depths[:, None] - scopes) * b
+    masks = np.bitwise_or.reduce(((1 << b) - 1) << shifts, axis=1)
+    digits = rank_tuples(inst.ranks, params.d, params.k).astype(np.int64)
+    patterns = np.bitwise_or.reduce(digits << shifts[:, None, :], axis=2)
+    tables: list[list] = [[] for _ in range(params.n)]
+    for v, mask, pats in zip(depths.tolist(), masks.tolist(), patterns.tolist()):
+        tables[v].append((mask, pats))
+    return tables
+
+
+def _depth_first(n: int, d: int, root: np.ndarray, extend, collect: bool):
+    """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
+    prefixes; ``extend(block, depth)`` returns the consistent one-variable
+    extensions of a block of depth-``depth`` prefixes.
+
+    Returns (nodes, level_counts, blocks of solutions); the blocks are
+    empty unless ``collect``.
+    """
+    level_counts = [0] * (n + 1)
+    level_counts[0] = root.shape[0]
+    stack = [(0, root, 0)] if root.shape[0] else []
+    found: list[np.ndarray] = []
+    collected = 0
+    while stack:
+        depth, rows, start = stack.pop()
+        stop = start + BLOCK_ROWS
+        if stop < rows.shape[0]:
+            stack.append((depth, rows, stop))
+        survivors = extend(rows[start:stop], depth)
+        kept = survivors.shape[0]
+        if not kept:
+            continue
+        level_counts[depth + 1] += kept
+        if depth + 1 < n:
+            stack.append((depth + 1, survivors, 0))
+        elif collect:
+            collected += kept
+            if collected > MAX_COLLECTED_SOLUTIONS:
+                raise ValueError(
+                    f"at least {collected} solutions to collect, "
+                    f"over the budget of {MAX_COLLECTED_SOLUTIONS}"
+                )
+            found.append(survivors)
+    return 1 + d * sum(level_counts[:n]), level_counts, found
+
+
+def _packed_sweep(inst: Instance, order, collect: bool):
+    """Depth-first walk over one int64 code per prefix; needs n * b <= 63."""
+    n, d = inst.params.n, inst.params.d
     b = _field_bits(d)
     values = np.asarray(order, dtype=np.int64)
-    tables = [
-        [_packed_check(cols, blocked, d, b, i) for cols, _, blocked in checks]
-        for i, checks in enumerate(checks_at)
-    ]
-    level_counts = [1 if root_ok else 0]
-    nodes = 1
-    cur = np.zeros(level_counts[0], dtype=np.int64)
+    if inst.params.strict:
+        tables = _strict_tables(inst, b)
+    else:
+        tables = [
+            [_packed_check(cols, blocked, d, b, i) for cols, _, blocked in checks]
+            for i, checks in enumerate(_checks_at(inst))
+        ]
 
-    for i in range(n):
-        rows = cur.shape[0]
-        if rows == 0:
-            level_counts.append(0)
-            continue
-        _check_budget(i + 1, rows * d)
-        nodes += rows * d
+    def extend(cur, i):
         nxt = ((cur << b)[:, None] | values).ravel()
         bad = None
         for mask, patterns in tables[i]:
             hit = _match_any(nxt & mask, patterns)
             bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
-        cur = nxt if bad is None else nxt[~bad]
-        level_counts.append(cur.shape[0])
+        return nxt if bad is None else nxt[~bad]
 
+    nodes, level_counts, found = _depth_first(n, d, np.zeros(_root_rows(inst), np.int64), extend, collect)
     solutions = None
     if collect:
         # Variable 0 sits in the highest field, so code order is
         # lexicographic order.
+        codes = np.sort(np.concatenate(found)) if found else np.zeros(0, np.int64)
         shifts = np.arange((n - 1) * b, -1, -b, dtype=np.int64)
-        fields = (np.sort(cur)[:, None] >> shifts) & ((1 << b) - 1)
+        fields = (codes[:, None] >> shifts) & ((1 << b) - 1)
         solutions = tuple(tuple(row) for row in fields.tolist())
     return nodes, level_counts, solutions
 
 
-def _matrix_sweep(n: int, d: int, order, checks_at, root_ok: bool, collect: bool):
-    """Level sweep over a (rows, depth) value matrix; the path for n * b > 63."""
+def _matrix_sweep(inst: Instance, order, collect: bool):
+    """Depth-first walk over (rows, depth) value matrices; the path for n * b > 63."""
+    n, d = inst.params.n, inst.params.d
     order = np.asarray(order, dtype=_value_dtype(d))
-    level_counts = [1 if root_ok else 0]
-    nodes = 1
-    cur = np.zeros((level_counts[0], 0), dtype=order.dtype)
+    checks_at = _checks_at(inst)
 
-    for i in range(n):
+    def extend(cur, i):
         rows = cur.shape[0]
-        if rows == 0:
-            level_counts.append(0)
-            continue
-        _check_budget(i + 1, rows * d)
-        nodes += rows * d
         nxt = np.empty((rows * d, i + 1), dtype=order.dtype)
         if i:
             nxt[:, :i] = np.repeat(cur, d, axis=0)
@@ -225,12 +276,13 @@ def _matrix_sweep(n: int, d: int, order, checks_at, root_ok: bool, collect: bool
         for cols, weights, blocked in checks_at[i]:
             bad = _match_any(_codes(nxt, cols, weights), blocked)
             keep = ~bad if keep is None else np.logical_and(keep, ~bad, out=keep)
-        cur = nxt if keep is None else nxt[keep]
-        level_counts.append(cur.shape[0])
+        return nxt if keep is None else nxt[keep]
 
+    root = np.zeros((_root_rows(inst), 0), dtype=order.dtype)
+    nodes, level_counts, found = _depth_first(n, d, root, extend, collect)
     solutions = None
     if collect:
-        solutions = tuple(sorted(tuple(int(v) for v in row) for row in cur.tolist()))
+        solutions = tuple(sorted(tuple(row) for block in found for row in block.tolist()))
     return nodes, level_counts, solutions
 
 
@@ -239,13 +291,15 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
 
     ``value_order`` (a permutation of range(d)) only affects visit order,
     never the counts; collected solutions are always reported in
-    lexicographic order.  Raises ValueError before allocating a level of
-    more than ``MAX_LEVEL_ROWS`` prefixes.
+    lexicographic order.  A count-only solve holds at most
+    n * d * ``BLOCK_ROWS`` prefixes; ``collect=True`` raises ValueError once
+    more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found.
     """
     n, d = inst.params.n, inst.params.d
+    order = _prepare(inst, value_order)
     # Packed codes are signed int64, so they hold at most 63 bits of fields.
     sweep = _packed_sweep if n * _field_bits(d) <= 63 else _matrix_sweep
-    nodes, level_counts, solutions = sweep(n, d, *_prepare(inst, value_order), collect)
+    nodes, level_counts, solutions = sweep(inst, order, collect)
     return SearchStats(
         nodes=nodes,
         solution_count=level_counts[-1],

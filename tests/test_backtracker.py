@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -38,9 +39,8 @@ _MATRIX_SWEEP = backtracker._matrix_sweep
 
 def matrix_solve(inst, collect=False, value_order=None):
     """The matrix sweep called directly: the reference for the packed path."""
-    n, d = inst.params.n, inst.params.d
-    prepared = backtracker._prepare(inst, value_order)
-    nodes, level_counts, solutions = _MATRIX_SWEEP(n, d, *prepared, collect)
+    order = backtracker._prepare(inst, value_order)
+    nodes, level_counts, solutions = _MATRIX_SWEEP(inst, order, collect)
     return SearchStats(nodes, level_counts[-1], tuple(level_counts), solutions)
 
 
@@ -226,9 +226,88 @@ def test_matrix_path_beyond_63_bits(n, d, sweeps_used):
 
 @pytest.mark.parametrize("n, sweep", [(4, "_packed_sweep"), (64, "_matrix_sweep")])
 def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps_used):
-    monkeypatch.setattr(backtracker, "MAX_LEVEL_ROWS", 8)
-    with pytest.raises(ValueError, match="^depth 4 would hold 16 prefixes, over the budget of 8$"):
-        solve_all(unconstrained(n, 2))
-    assert sweeps_used == [sweep]
-    monkeypatch.setattr(backtracker, "MAX_LEVEL_ROWS", 16)
-    assert solve_all(unconstrained(4, 2)).level_counts == (1, 2, 4, 8, 16)
+    """A count-only solve has no size budget; collecting has a solution budget.
+
+    Both instances have levels over 8 prefixes, which the old level budget
+    of 8 refused: 16 solutions at n=4, levels of up to 65 prefixes at n=64.
+    """
+    monkeypatch.setattr(backtracker, "MAX_COLLECTED_SOLUTIONS", 8)
+    inst = unconstrained(4, 2) if n == 4 else chain(64, 2)
+    counts = (1, 2, 4, 8, 16) if n == 4 else tuple(range(1, 66))
+    stats = solve_all(inst)
+    assert stats.level_counts == counts
+    assert stats.nodes == 1 + 2 * sum(counts[:-1])
+    with pytest.raises(ValueError, match=f"^at least {counts[-1]} solutions to collect, "
+                                         "over the budget of 8$"):
+        solve_all(inst, collect=True)
+    assert sweeps_used == [sweep, sweep]
+    monkeypatch.setattr(backtracker, "MAX_COLLECTED_SOLUTIONS", counts[-1])
+    assert solve_all(inst, collect=True).solution_count == counts[-1]
+
+
+def test_strict_tables_match_the_generic_checks():
+    stream = SeedSpec(96, 0).stream("strict-tables")
+    for trial in range(60):
+        d = 2 + stream.randbelow(4)
+        k = 2 + stream.randbelow(3)
+        b = backtracker._field_bits(d)
+        n = k + stream.randbelow(63 // b - k + 1)  # the packed layout's range
+        params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=1 + stream.randbelow(d - 1))
+        inst = sample_instance(params, SeedSpec(96, trial))
+        tables = backtracker._strict_tables(inst, b)
+        generic = backtracker._checks_at(inst)
+        assert len(tables) == len(generic) == n
+        for depth, (fast, checks) in enumerate(zip(tables, generic)):
+            reference = [backtracker._packed_check(cols, blocked, d, b, depth)
+                         for cols, _, blocked in checks]
+            assert sorted((m, sorted(p)) for m, p in fast) == sorted(
+                (m, sorted(p)) for m, p in reference)
+
+
+def _random_instance(stream, trial, strict):
+    d = 2 + stream.randbelow(3)
+    k = 2 + stream.randbelow(2)
+    n = k + stream.randbelow(6 - k)
+    if strict:
+        q = 1 + stream.randbelow(d - 1)
+    else:
+        q = d + stream.randbelow(d**k - d + 1)
+    t = stream.randbelow(2 * n + 1)
+    return sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(99, trial))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_block_splits_are_exact(block_rows, monkeypatch):
+    monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
+    stream = SeedSpec(99, block_rows).stream("block-splits")
+    for trial in range(16):
+        inst = _random_instance(stream, trial, strict=trial % 2 == 0)
+        report = brute_force(inst)
+        expected = SearchStats(report.node_count, report.level_counts[-1],
+                               report.level_counts, report.solutions)
+        for order in (None, list(reversed(range(inst.params.d)))):
+            assert solve_all(inst, collect=True, value_order=order) == expected
+            assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
+    stats = solve_all(chain(64, 2), collect=True)
+    assert stats.level_counts == tuple(range(1, 66))
+    assert stats.nodes == 1 + 2 * sum(range(1, 65))
+    assert stats.solutions == tuple(itertools.combinations_with_replacement(range(2), 64))
+
+
+def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
+    # n=20, d=2 has a widest level of 2**20 prefixes (8 MiB as int64 codes);
+    # the walk may hold at most n * d * BLOCK_ROWS codes of 8 bytes, plus a
+    # margin for the temporaries of one extension and Python objects.
+    block_rows = 2**8
+    monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
+    n, d = 20, 2
+    bound = n * d * block_rows * 8 + 64 * 2**10
+    inst = unconstrained(n, d)
+    tracemalloc.start()
+    try:
+        stats = solve_all(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.level_counts == tuple(2**i for i in range(n + 1))
+    assert peak < bound

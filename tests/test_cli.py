@@ -65,6 +65,23 @@ def test_predict_subcommand(capsys):
     assert "subcritical" in out
 
 
+PREDICT = ["predict", "--n", "200", "--d", "2", "--k", "3", "--t", "1000", "--q", "1"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "1"])
+def test_predict_rejects_a_bad_tol(capsys, tol):
+    code, out, err = run(capsys, *PREDICT, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err == f"gbcsp predict: error: tol must be a finite number in (0, 1), got {float(tol)!r}\n"
+
+
+def test_predict_coarse_tol_still_runs(capsys):
+    code, out, err = run(capsys, *PREDICT, "--tol", "1e-3")
+    assert code == 0 and err == ""
+    assert "supercritical" in out
+
+
 def test_sweep_with_config_and_overrides(tmp_path, capsys):
     config = {
         "n": 5, "d": 2, "k": 2, "q": 1, "t_grid": [0, 3], "trials": 4,
@@ -163,8 +180,11 @@ def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, edit, reason):
 def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     run(capsys, *GEN, "--out", str(path))
-    monkeypatch.setattr("gbcsp.backtracker.MAX_LEVEL_ROWS", 8)
-    code, out, err = run(capsys, "solve", "--in", str(path))
+    code, out, _ = run(capsys, "solve", "--in", str(path))
+    assert code == 0 and "solutions      210\n" in out
+    monkeypatch.setattr("gbcsp.backtracker.MAX_COLLECTED_SOLUTIONS", 8)
+    assert run(capsys, "solve", "--in", str(path)) == (0, out, "")
+    code, out, err = run(capsys, "solve", "--in", str(path), "--collect")
     assert code == 2
     assert out == ""
-    assert err == "gbcsp solve: error: depth 2 would hold 9 prefixes, over the budget of 8\n"
+    assert err == "gbcsp solve: error: at least 210 solutions to collect, over the budget of 8\n"
