@@ -248,7 +248,8 @@ def _packed_sweep(inst: Instance, order, collect: bool):
             bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
         return nxt if bad is None else nxt[~bad]
 
-    nodes, level_counts, found = _depth_first(n, d, np.zeros(_root_rows(inst), np.int64), extend, collect)
+    root = np.zeros(_root_rows(inst), dtype=np.int64)
+    nodes, level_counts, found = _depth_first(n, d, root, extend, collect)
     solutions = None
     if collect:
         # Variable 0 sits in the highest field, so code order is

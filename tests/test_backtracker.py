@@ -264,28 +264,24 @@ def test_strict_tables_match_the_generic_checks():
                 (m, sorted(p)) for m, p in reference)
 
 
-def _random_instance(stream, trial, strict):
-    d = 2 + stream.randbelow(3)
-    k = 2 + stream.randbelow(2)
-    n = k + stream.randbelow(6 - k)
-    if strict:
-        q = 1 + stream.randbelow(d - 1)
-    else:
-        q = d + stream.randbelow(d**k - d + 1)
-    t = stream.randbelow(2 * n + 1)
-    return sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(99, trial))
-
-
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_block_splits_are_exact(block_rows, monkeypatch):
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
     stream = SeedSpec(99, block_rows).stream("block-splits")
     for trial in range(16):
-        inst = _random_instance(stream, trial, strict=trial % 2 == 0)
+        d = 2 + stream.randbelow(3)
+        k = 2 + stream.randbelow(2)
+        n = k + stream.randbelow(6 - k)
+        if trial % 2:
+            q = d + stream.randbelow(d**k - d + 1)  # non-strict
+        else:
+            q = 1 + stream.randbelow(d - 1)
+        t = stream.randbelow(2 * n + 1)
+        inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(99, trial))
         report = brute_force(inst)
         expected = SearchStats(report.node_count, report.level_counts[-1],
                                report.level_counts, report.solutions)
-        for order in (None, list(reversed(range(inst.params.d)))):
+        for order in (None, list(reversed(range(d)))):
             assert solve_all(inst, collect=True, value_order=order) == expected
             assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
     stats = solve_all(chain(64, 2), collect=True)

@@ -73,7 +73,8 @@ def test_predict_rejects_a_bad_tol(capsys, tol):
     code, out, err = run(capsys, *PREDICT, f"--tol={tol}")
     assert code == 2
     assert out == ""
-    assert err == f"gbcsp predict: error: tol must be a finite number in (0, 1), got {float(tol)!r}\n"
+    reason = f"tol must be a finite number in (0, 1), got {float(tol)!r}"
+    assert err == f"gbcsp predict: error: {reason}\n"
 
 
 def test_predict_coarse_tol_still_runs(capsys):
