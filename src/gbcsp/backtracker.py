@@ -21,20 +21,30 @@ at most d * BLOCK_ROWS prefixes, so at most n * d * BLOCK_ROWS prefixes are
 live however wide the widest level is, and a count-only solve refuses no
 size.  Counts are Python ints and therefore exact at any size.
 
-Each prefix is one int64 code with b = ceil(log2 d) bits per variable, the
-most recently assigned variable in the lowest field.  Extending a block is
-``(code << b) | value``, and each check is a (mask, patterns) pair: a prefix
-violates it iff ``code & mask`` equals one of the patterns.  Bit fields
-rather than base-d digits make that one mask-compare for every d.  When
-n * b > 63 the codes do not fit, and the same driver extends (rows, depth)
-matrices of values instead, with weighted base-d codes per check.
+Each prefix is one int64 code with b = ceil(log2 d) bits per variable, and
+variable v sits at bits (n-1-v)*b at every depth, so extending depth-i
+prefixes is ``code | values[i]`` (each value pre-shifted into variable i's
+field) and code order is lexicographic order.  A check is a (mask, patterns)
+pair: a prefix violates it iff ``code & mask`` equals one of the patterns,
+one mask-compare for every d.
 
-For strict instances (q < d) a constraint can only fail once its scope is
-fully assigned, so each constraint is checked exactly at the depth that
-completes it; the packed layout builds those checks straight from the
-instance's scope and rank arrays.  Non-strict instances check a constraint
-at every depth that touches it, counting how many of its forbidden tuples
-agree with the assigned prefix (violated iff they cover all completions).
+A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
+when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
+completions of its values on v_0..v_j are forbidden.  A strict instance
+(q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` builds
+every packed check from the scope and rank arrays in one numpy pass; the
+matrix layout's checks come from ``_check_at_depth``, the reference the
+tests hold ``_tables`` to (``model.is_violated``, the oracle's predicate,
+shares code with neither).  No check tests the empty prefix, which is
+inconsistent only when t >= 1 and q = d**k.
+
+When n * b > 63 the codes do not fit, and the same driver extends (rows,
+depth) matrices of values instead, with weighted base-d codes per check.
+That layout stays on purpose: dense instances get easy as r grows, so at
+large n they are the tractable ones, and they sit in exactly that range.
+Python-int codes on the packed kernel took 1.7-8.5 times as long there
+(five instances each, best of three, 2-CPU host, numpy 2.4: n=64, d=2,
+k=3, q=1 at r=10 and 20; n=40, d=3, k=2, q=2 at r=5 and 10).
 
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
@@ -47,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, is_consistent, rank_tuples
+from .model import Instance, Params, rank_tuples
 
 # Prefixes the depth-first driver extends in one kernel call.  At most
 # n * d * BLOCK_ROWS prefixes are live; smaller blocks cost more calls,
@@ -65,14 +75,6 @@ class SearchStats:
     solution_count: int
     level_counts: tuple[int, ...]
     solutions: tuple[tuple[int, ...], ...] | None = None
-
-
-def _value_dtype(d: int):
-    if d <= 255:
-        return np.uint8
-    if d <= 65535:
-        return np.uint16
-    return np.uint32
 
 
 def _check_at_depth(scope, tuples, d: int, last_var: int):
@@ -123,22 +125,6 @@ def _field_bits(d: int) -> int:
     return (d - 1).bit_length()
 
 
-def _packed_check(cols, blocked, d: int, b: int, depth: int):
-    """One ``_check_at_depth`` check as (mask, patterns) over packed codes of
-    length ``depth + 1``: a code is violated iff ``code & mask`` is in patterns."""
-    mask = 0
-    for c in cols:
-        mask |= ((1 << b) - 1) << ((depth - c) * b)
-    patterns = []
-    for code in blocked:
-        pattern = 0
-        for c in cols:
-            code, v = divmod(code, d)
-            pattern |= v << ((depth - c) * b)
-        patterns.append(pattern)
-    return mask, patterns
-
-
 def _prepare(inst: Instance, value_order) -> list[int]:
     """The value order, after checking it and the tuple-code width."""
     params = inst.params
@@ -153,52 +139,63 @@ def _prepare(inst: Instance, value_order) -> list[int]:
     return order
 
 
-def _root_rows(inst: Instance) -> int:
-    """Rows of the depth-0 frame: the empty prefix, or none when it is
-    already inconsistent (every tuple forbidden, q = d**k), which the
-    per-depth checks never test."""
-    return 1 if inst.params.strict or is_consistent(inst, ()) else 0
-
-
 def _checks_at(inst: Instance) -> list[list]:
-    """``_check_at_depth`` checks grouped by depth: depth max(scope) only for
-    strict instances, every scope variable otherwise."""
+    """``_check_at_depth`` checks of the matrix layout, grouped by the depth
+    of each scope variable."""
     params = inst.params
     checks_at: list[list] = [[] for _ in range(params.n)]
     tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
     for scope, rows in zip(inst.scopes.tolist(), tuples):
-        for v in [max(scope)] if params.strict else sorted(scope):
+        for v in scope:
             chk = _check_at_depth(scope, rows, params.d, v)
             if chk is not None:
                 checks_at[v].append(chk)
     return checks_at
 
 
-def _strict_tables(inst: Instance, b: int) -> list[list]:
-    """Packed (mask, patterns) checks of a strict instance grouped by depth,
-    in one numpy pass: constraint i is checked at depth max(scope), and
-    each of its q forbidden tuples is one pattern."""
+def _tables(inst: Instance, b: int) -> list[list]:
+    """Packed (mask, patterns) checks grouped by depth, built from the scope
+    and rank arrays in one numpy pass."""
     params = inst.params
-    scopes = inst.scopes
-    depths = scopes.max(axis=1)
-    shifts = (depths[:, None] - scopes) * b
-    masks = np.bitwise_or.reduce(((1 << b) - 1) << shifts, axis=1)
-    digits = rank_tuples(inst.ranks, params.d, params.k).astype(np.int64)
-    patterns = np.bitwise_or.reduce(digits << shifts[:, None, :], axis=2)
-    tables: list[list] = [[] for _ in range(params.n)]
-    for v, mask, pats in zip(depths.tolist(), masks.tolist(), patterns.tolist()):
-        tables[v].append((mask, pats))
+    n, d, k, q = params.n, params.d, params.k, params.q
+    digits = rank_tuples(inst.ranks, d, k).astype(np.int64)
+    full = np.bitwise_or.reduce(digits << ((n - 1 - inst.scopes) * b)[:, None, :], axis=2)
+    ordered = np.sort(inst.scopes, axis=1)
+    masks = np.bitwise_or.accumulate(((1 << b) - 1) << ((n - 1 - ordered) * b), axis=1)
+    tables: list[list] = [[] for _ in range(n)]
+    for j in range(k):
+        run = d ** (k - 1 - j)
+        if run > q:
+            continue
+        depths, mask = ordered[:, j].tolist(), masks[:, j]
+        if run == 1:  # the last scope variable: every forbidden tuple blocks
+            for v, m, pats in zip(depths, mask.tolist(), full.tolist()):
+                tables[v].append((m, pats))
+            continue
+        # Sorted projections: a window of ``run`` equal values is a full run,
+        # since no projection has more than ``run`` distinct completions.
+        proj = np.sort(full & mask[:, None], axis=1)
+        starts = proj[:, : q - run + 1]
+        full_run = starts == proj[:, run - 1 :]
+        for i in np.flatnonzero(full_run.any(axis=1)).tolist():
+            tables[depths[i]].append((int(mask[i]), starts[i][full_run[i]].tolist()))
     return tables
 
 
-def _depth_first(n: int, d: int, root: np.ndarray, extend, collect: bool):
+def _depth_first(params: Params, root: np.ndarray, extend, collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
-    prefixes; ``extend(block, depth)`` returns the consistent one-variable
-    extensions of a block of depth-``depth`` prefixes.
+    prefixes from ``root``, the empty prefix; ``extend(block, depth)``
+    returns the consistent one-variable extensions of a block of
+    depth-``depth`` prefixes.
 
     Returns (nodes, level_counts, blocks of solutions); the blocks are
     empty unless ``collect``.
     """
+    n, d = params.n, params.d
+    # No check tests the empty prefix, which is inconsistent only when every
+    # tuple is forbidden.
+    if params.t and params.q == d**params.k:
+        root = root[:0]
     level_counts = [0] * (n + 1)
     level_counts[0] = root.shape[0]
     stack = [(0, root, 0)] if root.shape[0] else []
@@ -229,27 +226,22 @@ def _depth_first(n: int, d: int, root: np.ndarray, extend, collect: bool):
 
 def _packed_sweep(inst: Instance, order, collect: bool):
     """Depth-first walk over one int64 code per prefix; needs n * b <= 63."""
-    n, d = inst.params.n, inst.params.d
-    b = _field_bits(d)
-    values = np.asarray(order, dtype=np.int64)
-    if inst.params.strict:
-        tables = _strict_tables(inst, b)
-    else:
-        tables = [
-            [_packed_check(cols, blocked, d, b, i) for cols, _, blocked in checks]
-            for i, checks in enumerate(_checks_at(inst))
-        ]
+    n = inst.params.n
+    b = _field_bits(inst.params.d)
+    # values[i]: each value of variable i, in visit order, in its field
+    values = np.asarray(order, dtype=np.int64) << ((n - 1 - np.arange(n)) * b)[:, None]
+    tables = _tables(inst, b)
 
     def extend(cur, i):
-        nxt = ((cur << b)[:, None] | values).ravel()
+        nxt = (cur[:, None] | values[i]).ravel()
         bad = None
         for mask, patterns in tables[i]:
             hit = _match_any(nxt & mask, patterns)
             bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
         return nxt if bad is None else nxt[~bad]
 
-    root = np.zeros(_root_rows(inst), dtype=np.int64)
-    nodes, level_counts, found = _depth_first(n, d, root, extend, collect)
+    root = np.zeros(1, dtype=np.int64)
+    nodes, level_counts, found = _depth_first(inst.params, root, extend, collect)
     solutions = None
     if collect:
         # Variable 0 sits in the highest field, so code order is
@@ -264,7 +256,7 @@ def _packed_sweep(inst: Instance, order, collect: bool):
 def _matrix_sweep(inst: Instance, order, collect: bool):
     """Depth-first walk over (rows, depth) value matrices; the path for n * b > 63."""
     n, d = inst.params.n, inst.params.d
-    order = np.asarray(order, dtype=_value_dtype(d))
+    order = np.asarray(order, dtype=np.min_scalar_type(d - 1))
     checks_at = _checks_at(inst)
 
     def extend(cur, i):
@@ -279,8 +271,8 @@ def _matrix_sweep(inst: Instance, order, collect: bool):
             keep = ~bad if keep is None else np.logical_and(keep, ~bad, out=keep)
         return nxt if keep is None else nxt[keep]
 
-    root = np.zeros((_root_rows(inst), 0), dtype=order.dtype)
-    nodes, level_counts, found = _depth_first(n, d, root, extend, collect)
+    root = np.zeros((1, 0), dtype=order.dtype)
+    nodes, level_counts, found = _depth_first(inst.params, root, extend, collect)
     solutions = None
     if collect:
         solutions = tuple(sorted(tuple(row) for block in found for row in block.tolist()))

@@ -114,30 +114,23 @@ def cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    for name in ("n", "d", "k", "q", "trials"):
-        value = getattr(args, name)
-        if value is not None:
-            doc[name] = value
+    flags = {name: getattr(args, name) for name in ("n", "d", "k", "q", "trials", "out", "jobs")}
     if args.t_grid is not None:
-        doc["t_grid"] = [int(x) for x in args.t_grid.split(",") if x != ""]
-    if args.seed is not None:
-        doc["master_seed"] = args.seed
+        flags["t_grid"] = [int(x) for x in args.t_grid.split(",") if x != ""]
+    flags["master_seed"] = args.seed
     if args.measure is not None:
-        doc["measures"] = [m for m in args.measure.split(",") if m != ""]
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
-    config = ExperimentConfig.from_doc(doc)
+        flags["measures"] = [m for m in args.measure.split(",") if m != ""]
+    config = ExperimentConfig.from_doc(doc, {name: v for name, v in flags.items() if v is not None})
     rows = run_sweep(config)
     if not rows:
         print("no valid grid points", file=sys.stderr)
         return 1
+    if args.plotdata:
+        emit_plotdata(rows, args.plotdata)
     if config.out:
         emit_csv(rows, config.out)
         print(f"wrote {config.out}")
         if args.plotdata:
-            emit_plotdata(rows, args.plotdata)
             print(f"wrote {args.plotdata}")
     else:
         sys.stdout.write(format_csv(rows))
@@ -191,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("predict", help="print every analytic prediction for a parameter set")
     _add_param_flags(sub)
-    sub.add_argument("--tol", type=float, default=1e-12, help="root-finder tolerance")
+    sub.add_argument("--tol", type=float, default=analytics.DEFAULT_TOL,
+                     help="root-finder tolerance")
     sub.set_defaults(func=cmd_predict)
 
     sub = subs.add_parser("sweep", help="Monte Carlo sweep over a grid of constraint counts")

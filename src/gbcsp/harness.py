@@ -46,10 +46,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.t_grid, (list, tuple)):
-            raise ValueError(f"t_grid must be a list of ints, got {self.t_grid!r}")
-        object.__setattr__(self, "t_grid", tuple(self.t_grid))
-        object.__setattr__(self, "measures", tuple(self.measures))
+        for name, kind in (("t_grid", "ints"), ("measures", "strings")):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list of {kind}, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for name in ("n", "d", "k", "q", "trials", "master_seed", "jobs"):
             require_int(getattr(self, name), name)
         for t in self.t_grid:
@@ -73,7 +74,11 @@ class ExperimentConfig:
         return {**doc, "t_grid": list(self.t_grid), "measures": list(self.measures)}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "ExperimentConfig":
+    def from_doc(cls, doc, overrides=None) -> "ExperimentConfig":
+        """The config of a JSON object, with the keys of ``overrides`` replaced."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
+        doc = {**doc, **(overrides or {})}
         fields = dataclasses.fields(cls)
         names = [f.name for f in fields]
         unknown = sorted(set(doc) - set(names))

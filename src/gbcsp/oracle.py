@@ -165,38 +165,29 @@ def verification_report(
     from .generator import sample_instance
 
     stream = SeedSpec(master_seed, 0).stream("verify-params")
-    results: list[tuple[str, bool, str]] = []
-
-    nodes_ok = counts_ok = sols_ok = order_ok = True
-    detail = ""
+    checks = {
+        "nodes": "node counts match brute force",
+        "level_counts": "level profiles match brute force",
+        "solutions": "solution sets match brute force",
+        "order": "solutions in lexicographic order",
+        "binomial": "survival probability matches binomial form exactly",
+    }
+    first_failure: dict[str, str] = {}
     for idx in range(instances):
         params = random_strict_params(stream, max_n=max_n)
         inst = sample_instance(params, SeedSpec(master_seed, idx + 1))
         report = compare_with_solver(inst)
-        if not report.matches["nodes"]:
-            nodes_ok = False
-            detail = f"instance {idx}: node counts differ"
-        if not report.matches["level_counts"]:
-            counts_ok = False
-            detail = f"instance {idx}: level counts differ"
-        if not report.matches["solutions"]:
-            sols_ok = False
-            detail = f"instance {idx}: solution sets differ"
         sols = solve_all(inst, collect=True).solutions
-        if list(sols) != sorted(sols):
-            order_ok = False
-            detail = f"instance {idx}: solutions not in lexicographic order"
         rev = solve_all(inst, value_order=list(reversed(range(params.d))))
-        if rev.nodes != report.node_count:
-            nodes_ok = False
-            detail = f"instance {idx}: node count depends on value order"
-    results.append(("node counts match brute force", nodes_ok, detail if not nodes_ok else ""))
-    results.append(("level profiles match brute force", counts_ok, detail if not counts_ok else ""))
-    results.append(("solution sets match brute force", sols_ok, detail if not sols_ok else ""))
-    results.append(("solutions in lexicographic order", order_ok, detail if not order_ok else ""))
-
-    g_ok = True
-    g_detail = ""
+        for key, failed, what in (
+            ("nodes", not report.matches["nodes"], "node counts differ"),
+            ("level_counts", not report.matches["level_counts"], "level counts differ"),
+            ("solutions", not report.matches["solutions"], "solution sets differ"),
+            ("order", list(sols) != sorted(sols), "solutions not in lexicographic order"),
+            ("nodes", rev.nodes != report.node_count, "node count depends on value order"),
+        ):
+            if failed:
+                first_failure.setdefault(key, f"instance {idx}: {what}")
     for n in range(2, 11):
         for k in (2, 3):
             if k > n:
@@ -209,7 +200,7 @@ def verification_report(
                         lhs = extend_probability(i, params)
                         rhs = extend_probability_binomial(n, k, p, i)
                         if lhs != rhs:
-                            g_ok = False
-                            g_detail = f"n={n} d={d} k={k} q={q} i={i}: {lhs} != {rhs}"
-    results.append(("survival probability matches binomial form exactly", g_ok, g_detail))
-    return results
+                            first_failure.setdefault(
+                                "binomial", f"n={n} d={d} k={k} q={q} i={i}: {lhs} != {rhs}")
+    return [(name, key not in first_failure, first_failure.get(key, ""))
+            for key, name in checks.items()]

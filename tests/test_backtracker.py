@@ -175,6 +175,31 @@ def test_all_tuples_forbidden_blocks_root():
     assert stats == SearchStats(nodes=1, solution_count=0, level_counts=(0, 0, 0), solutions=())
 
 
+def test_all_tuples_forbidden_blocks_root_on_the_matrix_layout(sweeps_used):
+    inst = one_constraint((0, 1), {(0, 0), (0, 1), (1, 0), (1, 1)}, n=64, d=2)
+    stats = solve_all(inst, collect=True)
+    assert stats == SearchStats(nodes=1, solution_count=0, level_counts=(0,) * 65, solutions=())
+    assert sweeps_used == ["_matrix_sweep"]
+    # q = d^k forbids nothing when there is no constraint
+    assert solve_all(Instance(Params(n=3, d=2, k=2, t=0, q=4), ())).level_counts == (1, 2, 4, 8)
+
+
+@pytest.mark.parametrize("n, d, k, q, t, sweep", [
+    (6, 3, 2, 2, 6, "_packed_sweep"),
+    (6, 3, 2, 5, 6, "_packed_sweep"),
+    (6, 3, 2, 9, 3, "_packed_sweep"),
+    (64, 2, 3, 3, 300, "_matrix_sweep"),
+    (32, 3, 2, 4, 64, "_matrix_sweep"),
+])
+def test_solve_never_builds_the_constraint_tuple(n, d, k, q, t, sweep, sweeps_used):
+    # solves read the scope and rank arrays, strict or not, on either layout
+    inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(123457, 0))
+    stats = solve_all(inst, collect=True)
+    assert inst._constraints is None
+    assert sweeps_used == [sweep]
+    assert stats.nodes == 1 + d * sum(stats.level_counts[:-1])
+
+
 def test_stats_are_plain_data():
     stats = solve_all(unconstrained(2, 2))
     assert isinstance(stats.nodes, int)
@@ -245,23 +270,44 @@ def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps
     assert solve_all(inst, collect=True).solution_count == counts[-1]
 
 
-def test_strict_tables_match_the_generic_checks():
-    stream = SeedSpec(96, 0).stream("strict-tables")
-    for trial in range(60):
+def absolute_checks(inst, b):
+    """The matrix layout's ``_check_at_depth`` checks per depth, re-encoded
+    as sorted packed (mask, patterns) pairs with variable v at bits (n-1-v)*b."""
+    n, d = inst.params.n, inst.params.d
+    tables = []
+    for checks in backtracker._checks_at(inst):
+        packed = []
+        for cols, weights, blocked in checks:
+            mask = sum(((1 << b) - 1) << (n - 1 - c) * b for c in cols)
+            patterns = [sum((code // w % d) << (n - 1 - c) * b for c, w in zip(cols, weights))
+                        for code in blocked]
+            packed.append((mask, sorted(patterns)))
+        tables.append(sorted(packed))
+    return tables
+
+
+def test_tables_match_the_generic_checks():
+    stream = SeedSpec(96, 0).stream("tables")
+    for trial in range(120):
         d = 2 + stream.randbelow(4)
         k = 2 + stream.randbelow(3)
         b = backtracker._field_bits(d)
         n = k + stream.randbelow(63 // b - k + 1)  # the packed layout's range
-        params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=1 + stream.randbelow(d - 1))
+        kind = trial % 4
+        if kind == 0:
+            q = 1 + stream.randbelow(d - 1)  # strict
+        elif kind == 1:
+            q = d + stream.randbelow(d**k - d + 1)  # non-strict
+        elif kind == 2:
+            q = d ** (k - 1) + stream.randbelow(d**k - d ** (k - 1) + 1)  # checks before the last variable
+        else:
+            q = d**k
+        params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(96, trial))
-        tables = backtracker._strict_tables(inst, b)
-        generic = backtracker._checks_at(inst)
-        assert len(tables) == len(generic) == n
-        for depth, (fast, checks) in enumerate(zip(tables, generic)):
-            reference = [backtracker._packed_check(cols, blocked, d, b, depth)
-                         for cols, _, blocked in checks]
-            assert sorted((m, sorted(p)) for m, p in fast) == sorted(
-                (m, sorted(p)) for m, p in reference)
+        tables = backtracker._tables(inst, b)
+        assert len(tables) == n
+        fast = [sorted((m, sorted(p)) for m, p in checks) for checks in tables]
+        assert fast == absolute_checks(inst, b)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])

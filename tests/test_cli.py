@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from gbcsp import analytics
 from gbcsp.cli import main
-from gbcsp.harness import CSV_HEADER
+from gbcsp.harness import CSV_HEADER, format_plotdata, parse_csv
 from gbcsp.model import loads_instance
 
 
@@ -77,6 +78,13 @@ def test_predict_rejects_a_bad_tol(capsys, tol):
     assert err == f"gbcsp predict: error: {reason}\n"
 
 
+def test_predict_default_tol_is_the_analytics_default(capsys, monkeypatch):
+    default = run(capsys, *PREDICT)
+    assert default == run(capsys, *PREDICT, "--tol", "1e-12")
+    monkeypatch.setattr(analytics, "DEFAULT_TOL", 1e-3)
+    assert run(capsys, *PREDICT) == run(capsys, *PREDICT, "--tol", "1e-3") != default
+
+
 def test_predict_coarse_tol_still_runs(capsys):
     code, out, err = run(capsys, *PREDICT, "--tol", "1e-3")
     assert code == 0 and err == ""
@@ -111,6 +119,16 @@ def test_sweep_stdout_without_out(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == CSV_HEADER
+
+
+def test_sweep_plotdata_without_out(tmp_path, capsys):
+    argv = ["sweep", "--n", "4", "--d", "2", "--k", "2", "--q", "1",
+            "--t-grid", "0,2", "--trials", "3", "--seed", "2", "--measure", "nodes"]
+    plot_path = tmp_path / "rows.dat"
+    code, out, err = run(capsys, *argv, "--plotdata", str(plot_path))
+    assert code == 0 and err == ""
+    assert run(capsys, *argv) == (0, out, "")  # stdout is the CSV alone
+    assert plot_path.read_text(encoding="utf-8") == format_plotdata(parse_csv(out))
 
 
 def test_verify_subcommand(capsys):
@@ -155,6 +173,21 @@ def test_config_field_types_are_a_one_line_error(tmp_path, capsys, key, value, r
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"gbcsp sweep: error: {reason}\n"
+
+
+@pytest.mark.parametrize("text, extra, reason", [
+    ("5", [], "a sweep config must be a JSON object, got int"),
+    ("[1]", ["--n", "5"], "a sweep config must be a JSON object, got list"),
+    ('{"n": 4, "d": 2, "k": 2, "q": 1, "t_grid": [2], "trials": 3, "master_seed": 2, '
+     '"measures": 5}', [], "measures must be a list of strings, got 5"),
+], ids=["int", "list-with-flag", "measures-int"])
+def test_malformed_sweep_config_is_a_one_line_error(tmp_path, capsys, text, extra, reason):
+    path = tmp_path / "sweep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--config", str(path), *extra)
     assert code == 2
     assert out == ""
     assert err == f"gbcsp sweep: error: {reason}\n"

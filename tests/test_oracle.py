@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gbcsp import generator
+from gbcsp import generator, oracle
 from gbcsp.generator import sample_constraint
 from gbcsp.model import ConstraintSpec, Instance, Params, is_violated
 from gbcsp.rng import SeedSpec
@@ -140,3 +141,23 @@ def test_verification_report_all_green():
     assert results
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def test_verification_report_keeps_each_checks_own_failure(monkeypatch):
+    # node counts fail on instance 0 and level counts on instance 1
+    real = oracle.compare_with_solver
+    calls = []
+
+    def broken(inst, *args):
+        report = real(inst, *args)
+        wrong = {0: "nodes", 1: "level_counts"}.get(len(calls))
+        calls.append(inst)
+        return replace(report, matches={**report.matches, **({wrong: False} if wrong else {})})
+
+    monkeypatch.setattr(oracle, "compare_with_solver", broken)
+    results = {name: (ok, detail) for name, ok, detail in verification_report(master_seed=3, instances=4)}
+    assert len(calls) == 4
+    assert results["node counts match brute force"] == (False, "instance 0: node counts differ")
+    assert results["level profiles match brute force"] == (False, "instance 1: level counts differ")
+    assert results["solution sets match brute force"] == (True, "")
+    assert results["solutions in lexicographic order"] == (True, "")
