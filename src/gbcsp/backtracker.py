@@ -21,30 +21,26 @@ at most d * BLOCK_ROWS prefixes, so at most n * d * BLOCK_ROWS prefixes are
 live however wide the widest level is, and a count-only solve refuses no
 size.  Counts are Python ints and therefore exact at any size.
 
-Each prefix is one int64 code with b = ceil(log2 d) bits per variable, and
-variable v sits at bits (n-1-v)*b at every depth, so extending depth-i
-prefixes is ``code | values[i]`` (each value pre-shifted into variable i's
-field) and code order is lexicographic order.  A check is a (mask, patterns)
-pair: a prefix violates it iff ``code & mask`` equals one of the patterns,
-one mask-compare for every d.
+Each prefix is W int64 words of b = ceil(log2 d) bits per variable.  A word
+holds WORD_BITS // b whole fields, variables in order, its last variable at
+shift 0; as no field straddles two words, assigning a variable ORs one
+pre-shifted value into one word and a mask reads any field from one word.
+Word-major order is lexicographic order, and when n * b <= WORD_BITS the one
+word holds variable v at bits (n-1-v)*b.  A block of prefixes is a list of
+arrays, one per word begun so far.  A check has a (word, mask, patterns)
+part per word it touches, at most min(k, W): a prefix violates it iff, for
+some j, ``word & mask`` equals patterns[j] in every part.  Any d the
+instance arrays allow fits, since d**k <= 2**64 with k >= 2 gives b <= 32.
 
 A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
 when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
 completions of its values on v_0..v_j are forbidden.  A strict instance
 (q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` builds
-every packed check from the scope and rank arrays in one numpy pass; the
-matrix layout's checks come from ``_check_at_depth``, the reference the
-tests hold ``_tables`` to (``model.is_violated``, the oracle's predicate,
-shares code with neither).  No check tests the empty prefix, which is
-inconsistent only when t >= 1 and q = d**k.
-
-When n * b > 63 the codes do not fit, and the same driver extends (rows,
-depth) matrices of values instead, with weighted base-d codes per check.
-That layout stays on purpose: dense instances get easy as r grows, so at
-large n they are the tractable ones, and they sit in exactly that range.
-Python-int codes on the packed kernel took 1.7-8.5 times as long there
-(five instances each, best of three, 2-CPU host, numpy 2.4: n=64, d=2,
-k=3, q=1 at r=10 and 20; n=40, d=3, k=2, q=2 at r=5 and 10).
+every check from the scope and rank arrays in one numpy pass.
+``_check_at_depth``, which no solve calls, is the reference the tests hold
+``_tables`` to (``model.is_violated``, the oracle's predicate, shares code
+with neither).  No check tests the empty prefix, which is inconsistent only
+when t >= 1 and q = d**k.
 
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
@@ -53,6 +49,7 @@ concatenated, sorted and decoded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +60,11 @@ from .model import Instance, Params, rank_tuples
 # n * d * BLOCK_ROWS prefixes are live; smaller blocks cost more calls,
 # larger ones more memory and cache misses.
 BLOCK_ROWS = 2**14
-# Most solutions collect=True will hold (512 MiB as packed int64 codes).
+# Most solutions collect=True will hold (512 MiB per int64 word of a prefix).
 MAX_COLLECTED_SOLUTIONS = 2**26
+# Bits of fields per prefix word: words are signed int64.  Tests narrow it
+# to reach several words at sizes the brute-force oracle can check.
+WORD_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,17 @@ def _check_at_depth(scope, tuples, d: int, last_var: int):
     return cols, weights, blocked
 
 
-def _codes(arr: np.ndarray, cols, weights) -> np.ndarray:
-    code = arr[:, cols[0]].astype(np.int64)
-    for c, w in zip(cols[1:], weights[1:]):
-        code += arr[:, c].astype(np.int64) * w
-    return code
+def _checks_at(inst: Instance) -> list[list]:
+    """``_check_at_depth`` checks grouped by the depth of each scope variable."""
+    params = inst.params
+    checks_at: list[list] = [[] for _ in range(params.n)]
+    tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
+    for scope, rows in zip(inst.scopes.tolist(), tuples):
+        for v in scope:
+            chk = _check_at_depth(scope, rows, params.d, v)
+            if chk is not None:
+                checks_at[v].append(chk)
+    return checks_at
 
 
 def _match_any(code: np.ndarray, blocked) -> np.ndarray:
@@ -120,73 +126,90 @@ def _match_any(code: np.ndarray, blocked) -> np.ndarray:
     return np.isin(code, np.asarray(blocked, dtype=np.int64))
 
 
-def _field_bits(d: int) -> int:
-    """Bits b per variable in a packed prefix code: values 0..d-1 fit in b bits."""
-    return (d - 1).bit_length()
+def _match_parts(words, check) -> np.ndarray:
+    """Rows of the prefix ``words`` whose fields equal one of ``check``'s
+    patterns in every (word, mask, patterns) part."""
+    keys = [words[w] & mask for w, mask, _ in check]
+    return np.logical_or.reduce([np.logical_and.reduce([key == p for key, p in zip(keys, pattern)])
+                                 for pattern in zip(*(patterns for _, _, patterns in check))])
 
 
-def _prepare(inst: Instance, value_order) -> list[int]:
-    """The value order, after checking it and the tuple-code width."""
-    params = inst.params
-    if value_order is None:
-        order = list(range(params.d))
-    else:
-        order = list(value_order)
-        if sorted(order) != list(range(params.d)):
-            raise ValueError("value_order must be a permutation of range(d)")
-    if params.d**params.k > 2**62:
-        raise ValueError("d**k too large for 64-bit tuple codes")
-    return order
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, d: int, word_bits: int):
+    """Word and shift of every variable: b = ceil(log2 d) bits per field,
+    word_bits // b whole fields per word, each word ending with its last
+    variable at shift 0."""
+    b = (d - 1).bit_length()
+    per = word_bits // b
+    word = np.arange(n) // per
+    shift = (np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b
+    word.flags.writeable = shift.flags.writeable = False
+    return word, shift
 
 
-def _checks_at(inst: Instance) -> list[list]:
-    """``_check_at_depth`` checks of the matrix layout, grouped by the depth
-    of each scope variable."""
-    params = inst.params
-    checks_at: list[list] = [[] for _ in range(params.n)]
-    tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
-    for scope, rows in zip(inst.scopes.tolist(), tuples):
-        for v in scope:
-            chk = _check_at_depth(scope, rows, params.d, v)
-            if chk is not None:
-                checks_at[v].append(chk)
-    return checks_at
-
-
-def _tables(inst: Instance, b: int) -> list[list]:
-    """Packed (mask, patterns) checks grouped by depth, built from the scope
-    and rank arrays in one numpy pass."""
+def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[list]:
+    """Checks grouped by depth, each a tuple of (word, mask, patterns) parts,
+    built from the scope and rank arrays in one numpy pass."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
-    digits = rank_tuples(inst.ranks, d, k).astype(np.int64)
-    full = np.bitwise_or.reduce(digits << ((n - 1 - inst.scopes) * b)[:, None, :], axis=2)
-    ordered = np.sort(inst.scopes, axis=1)
-    masks = np.bitwise_or.accumulate(((1 << b) - 1) << ((n - 1 - ordered) * b), axis=1)
+    scopes = inst.scopes
+    ordered = np.sort(scopes, axis=1)
+    word, shift = word_of[ordered], shift_of[scopes]
+    digits = rank_tuples(inst.ranks, d, k)
+    # fields[c, p]: constraint c's forbidden tuples at scope position p, each
+    # in its field, and last the field's mask
+    fields = np.concatenate([digits.astype(np.int64).transpose(0, 2, 1),
+                             np.full((len(scopes), k, 1), (1 << (d - 1).bit_length()) - 1)], axis=2)
+    # Part i of a check holds the scope positions p whose variable is in
+    # the word of sorted position i and not after it.  Fields in one word
+    # occupy disjoint bits, so summing them ORs them.
+    inword = (word_of[scopes][:, None, :] == word[:, :, None]) & (scopes[:, None, :] <= ordered[:, :, None])
+    parts = inword @ (fields << shift[:, :, None])
+    patterns, masks = parts[:, :, :q], parts[:, :, q]
+    spans = np.flatnonzero(word[:, 0] != word[:, -1])
+    if q >= d:
+        # The rank in sorted-scope order does not depend on the layout, and
+        # rank // d**(k-1-j) projects it on sorted positions 0..j.  A field's
+        # digit weighs d**(number of scope variables after it).
+        after = (scopes[:, None, :] > scopes[:, :, None]).sum(axis=2).astype(np.uint64)
+        rank = (digits * np.uint64(d) ** after[:, None, :]).sum(axis=2)
+        by_rank, rank = np.argsort(rank, axis=1), np.sort(rank, axis=1)
     tables: list[list] = [[] for _ in range(n)]
     for j in range(k):
         run = d ** (k - 1 - j)
         if run > q:
             continue
-        depths, mask = ordered[:, j].tolist(), masks[:, j]
+        # picks[c]: constraint c's tuples whose patterns block at position j
         if run == 1:  # the last scope variable: every forbidden tuple blocks
-            for v, m, pats in zip(depths, mask.tolist(), full.tolist()):
-                tables[v].append((m, pats))
-            continue
-        # Sorted projections: a window of ``run`` equal values is a full run,
-        # since no projection has more than ``run`` distinct completions.
-        proj = np.sort(full & mask[:, None], axis=1)
-        starts = proj[:, : q - run + 1]
-        full_run = starts == proj[:, run - 1 :]
-        for i in np.flatnonzero(full_run.any(axis=1)).tolist():
-            tables[depths[i]].append((int(mask[i]), starts[i][full_run[i]].tolist()))
+            picks = [slice(None)] * len(scopes)
+            pats = patterns[:, j].tolist()
+        else:
+            # Sorted projections: a window of ``run`` equal values is a full
+            # run, since no projection has more than ``run`` completions.
+            proj = rank // np.uint64(run)
+            starts = proj[:, : q - run + 1] == proj[:, run - 1 :]
+            picks = [[s for s, start in zip(row, run_starts) if start]
+                     for row, run_starts in zip(by_rank[:, : q - run + 1].tolist(), starts.tolist())]
+            pats = [[row[s] for s in pick] for row, pick in zip(patterns[:, j].tolist(), picks)]
+        checks = [((w, m, p),) for w, m, p in zip(word[:, j].tolist(), masks[:, j].tolist(), pats)]
+        # a check spanning words has a part for each earlier word too, at
+        # that word's last sorted position
+        for c in spans:
+            if pats[c] and word[c, 0] != word[c, j]:
+                ends = np.flatnonzero(word[c, :j] != word[c, 1 : j + 1]).tolist()
+                checks[c] = tuple((int(word[c, i]), int(masks[c, i]), patterns[c, i, picks[c]].tolist())
+                                  for i in ends) + checks[c]
+        for v, check, p in zip(ordered[:, j].tolist(), checks, pats):
+            if p:
+                tables[v].append(check)
     return tables
 
 
-def _depth_first(params: Params, root: np.ndarray, extend, collect: bool):
+def _depth_first(params: Params, word: list[int], values: np.ndarray, tables, collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
-    prefixes from ``root``, the empty prefix; ``extend(block, depth)``
-    returns the consistent one-variable extensions of a block of
-    depth-``depth`` prefixes.
+    prefixes from the empty prefix.  A block at depth i, a list of word
+    arrays, is extended by each of ``values[i]`` in variable i's word
+    ``word[i]``, and ``tables[i]`` filters the extensions.
 
     Returns (nodes, level_counts, blocks of solutions); the blocks are
     empty unless ``collect``.
@@ -194,25 +217,38 @@ def _depth_first(params: Params, root: np.ndarray, extend, collect: bool):
     n, d = params.n, params.d
     # No check tests the empty prefix, which is inconsistent only when every
     # tuple is forbidden.
-    if params.t and params.q == d**params.k:
-        root = root[:0]
-    level_counts = [0] * (n + 1)
-    level_counts[0] = root.shape[0]
-    stack = [(0, root, 0)] if root.shape[0] else []
-    found: list[np.ndarray] = []
+    root = 0 if params.t and params.q == d**params.k else 1
+    level_counts = [root] + [0] * n
+    stack = [(0, [np.zeros(1, dtype=np.int64)], 0)] if root else []
+    found: list[list[np.ndarray]] = []
     collected = 0
     while stack:
         depth, rows, start = stack.pop()
         stop = start + BLOCK_ROWS
-        if stop < rows.shape[0]:
+        if stop < rows[0].shape[0]:
             stack.append((depth, rows, stop))
-        survivors = extend(rows[start:stop], depth)
-        kept = survivors.shape[0]
+        w = word[depth]
+        # a variable that opens a new word is ORed into a zero word
+        cur = rows[w][start:stop] if w < len(rows) else np.zeros_like(rows[0][start:stop])
+        nxt = [np.repeat(x[start:stop], d) for x in rows[:w]]
+        nxt.append((cur[:, None] | values[depth]).ravel())
+        bad = None
+        for check in tables[depth]:
+            if len(check) == 1:  # one word: one mask-compare
+                ((v, mask, patterns),) = check
+                hit = _match_any(nxt[v] & mask, patterns)
+            else:
+                hit = _match_parts(nxt, check)
+            bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
+        if bad is not None:
+            keep = ~bad
+            nxt = [x[keep] for x in nxt]
+        kept = nxt[0].shape[0]
         if not kept:
             continue
         level_counts[depth + 1] += kept
         if depth + 1 < n:
-            stack.append((depth + 1, survivors, 0))
+            stack.append((depth + 1, nxt, 0))
         elif collect:
             collected += kept
             if collected > MAX_COLLECTED_SOLUTIONS:
@@ -220,63 +256,8 @@ def _depth_first(params: Params, root: np.ndarray, extend, collect: bool):
                     f"at least {collected} solutions to collect, "
                     f"over the budget of {MAX_COLLECTED_SOLUTIONS}"
                 )
-            found.append(survivors)
+            found.append(nxt)
     return 1 + d * sum(level_counts[:n]), level_counts, found
-
-
-def _packed_sweep(inst: Instance, order, collect: bool):
-    """Depth-first walk over one int64 code per prefix; needs n * b <= 63."""
-    n = inst.params.n
-    b = _field_bits(inst.params.d)
-    # values[i]: each value of variable i, in visit order, in its field
-    values = np.asarray(order, dtype=np.int64) << ((n - 1 - np.arange(n)) * b)[:, None]
-    tables = _tables(inst, b)
-
-    def extend(cur, i):
-        nxt = (cur[:, None] | values[i]).ravel()
-        bad = None
-        for mask, patterns in tables[i]:
-            hit = _match_any(nxt & mask, patterns)
-            bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
-        return nxt if bad is None else nxt[~bad]
-
-    root = np.zeros(1, dtype=np.int64)
-    nodes, level_counts, found = _depth_first(inst.params, root, extend, collect)
-    solutions = None
-    if collect:
-        # Variable 0 sits in the highest field, so code order is
-        # lexicographic order.
-        codes = np.sort(np.concatenate(found)) if found else np.zeros(0, np.int64)
-        shifts = np.arange((n - 1) * b, -1, -b, dtype=np.int64)
-        fields = (codes[:, None] >> shifts) & ((1 << b) - 1)
-        solutions = tuple(tuple(row) for row in fields.tolist())
-    return nodes, level_counts, solutions
-
-
-def _matrix_sweep(inst: Instance, order, collect: bool):
-    """Depth-first walk over (rows, depth) value matrices; the path for n * b > 63."""
-    n, d = inst.params.n, inst.params.d
-    order = np.asarray(order, dtype=np.min_scalar_type(d - 1))
-    checks_at = _checks_at(inst)
-
-    def extend(cur, i):
-        rows = cur.shape[0]
-        nxt = np.empty((rows * d, i + 1), dtype=order.dtype)
-        if i:
-            nxt[:, :i] = np.repeat(cur, d, axis=0)
-        nxt[:, i] = np.tile(order, rows)
-        keep = None
-        for cols, weights, blocked in checks_at[i]:
-            bad = _match_any(_codes(nxt, cols, weights), blocked)
-            keep = ~bad if keep is None else np.logical_and(keep, ~bad, out=keep)
-        return nxt if keep is None else nxt[keep]
-
-    root = np.zeros((1, 0), dtype=order.dtype)
-    nodes, level_counts, found = _depth_first(inst.params, root, extend, collect)
-    solutions = None
-    if collect:
-        solutions = tuple(sorted(tuple(row) for block in found for row in block.tolist()))
-    return nodes, level_counts, solutions
 
 
 def solve_all(inst: Instance, collect: bool = False, value_order=None) -> SearchStats:
@@ -289,10 +270,22 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found.
     """
     n, d = inst.params.n, inst.params.d
-    order = _prepare(inst, value_order)
-    # Packed codes are signed int64, so they hold at most 63 bits of fields.
-    sweep = _packed_sweep if n * _field_bits(d) <= 63 else _matrix_sweep
-    nodes, level_counts, solutions = sweep(inst, order, collect)
+    order = list(range(d)) if value_order is None else list(value_order)
+    if sorted(order) != list(range(d)):
+        raise ValueError("value_order must be a permutation of range(d)")
+    word_of, shift_of = _layout(n, d, WORD_BITS)
+    # values[i]: each value of variable i, in visit order, in its field
+    values = np.asarray(order, dtype=np.int64) << shift_of[:, None]
+    tables = _tables(inst, word_of, shift_of)
+    word = word_of.tolist()
+    nodes, level_counts, found = _depth_first(inst.params, word, values, tables, collect)
+    solutions = None
+    if collect:
+        # Word-major order is lexicographic order: sort on word 0 first.
+        words = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, np.int64)] * (word[-1] + 1)
+        codes = np.stack(words, axis=1)[np.lexsort(words[::-1])]
+        fields = (codes[:, word_of] >> shift_of) & ((1 << (d - 1).bit_length()) - 1)
+        solutions = tuple(tuple(row) for row in fields.tolist())
     return SearchStats(
         nodes=nodes,
         solution_count=level_counts[-1],

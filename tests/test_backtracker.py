@@ -34,26 +34,19 @@ def chain(n, d, extra_t=0):
     return Instance(Params(n=n, d=d, k=2, t=len(constraints), q=q), tuple(constraints))
 
 
-_MATRIX_SWEEP = backtracker._matrix_sweep
+def layout(inst):
+    """Word and shift of each variable of ``inst`` in the solver's layout."""
+    return backtracker._layout(inst.params.n, inst.params.d, backtracker.WORD_BITS)
 
 
-def matrix_solve(inst, collect=False, value_order=None):
-    """The matrix sweep called directly: the reference for the packed path."""
-    order = backtracker._prepare(inst, value_order)
-    nodes, level_counts, solutions = _MATRIX_SWEEP(inst, order, collect)
-    return SearchStats(nodes, level_counts[-1], tuple(level_counts), solutions)
+def word_count(inst):
+    return int(layout(inst)[0][-1]) + 1
 
 
-@pytest.fixture
-def sweeps_used(monkeypatch):
-    """Names of the sweeps solve_all runs, in call order."""
-    used = []
-    for name in ("_packed_sweep", "_matrix_sweep"):
-        def spy(*args, _sweep=getattr(backtracker, name), _name=name):
-            used.append(_name)
-            return _sweep(*args)
-        monkeypatch.setattr(backtracker, name, spy)
-    return used
+def oracle_stats(inst):
+    report = brute_force(inst)
+    return SearchStats(report.node_count, report.level_counts[-1],
+                       report.level_counts, report.solutions)
 
 
 def test_seven_node_example():
@@ -175,28 +168,28 @@ def test_all_tuples_forbidden_blocks_root():
     assert stats == SearchStats(nodes=1, solution_count=0, level_counts=(0, 0, 0), solutions=())
 
 
-def test_all_tuples_forbidden_blocks_root_on_the_matrix_layout(sweeps_used):
+def test_all_tuples_forbidden_blocks_root_on_two_words():
     inst = one_constraint((0, 1), {(0, 0), (0, 1), (1, 0), (1, 1)}, n=64, d=2)
+    assert word_count(inst) == 2
     stats = solve_all(inst, collect=True)
     assert stats == SearchStats(nodes=1, solution_count=0, level_counts=(0,) * 65, solutions=())
-    assert sweeps_used == ["_matrix_sweep"]
     # q = d^k forbids nothing when there is no constraint
     assert solve_all(Instance(Params(n=3, d=2, k=2, t=0, q=4), ())).level_counts == (1, 2, 4, 8)
 
 
-@pytest.mark.parametrize("n, d, k, q, t, sweep", [
-    (6, 3, 2, 2, 6, "_packed_sweep"),
-    (6, 3, 2, 5, 6, "_packed_sweep"),
-    (6, 3, 2, 9, 3, "_packed_sweep"),
-    (64, 2, 3, 3, 300, "_matrix_sweep"),
-    (32, 3, 2, 4, 64, "_matrix_sweep"),
+@pytest.mark.parametrize("n, d, k, q, t, words", [
+    (6, 3, 2, 2, 6, 1),
+    (6, 3, 2, 5, 6, 1),
+    (6, 3, 2, 9, 3, 1),
+    (64, 2, 3, 3, 300, 2),
+    (32, 3, 2, 4, 64, 2),
 ])
-def test_solve_never_builds_the_constraint_tuple(n, d, k, q, t, sweep, sweeps_used):
-    # solves read the scope and rank arrays, strict or not, on either layout
+def test_solve_never_builds_the_constraint_tuple(n, d, k, q, t, words):
+    # solves read the scope and rank arrays, strict or not, on one word or two
     inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(123457, 0))
+    assert word_count(inst) == words
     stats = solve_all(inst, collect=True)
     assert inst._constraints is None
-    assert sweeps_used == [sweep]
     assert stats.nodes == 1 + d * sum(stats.level_counts[:-1])
 
 
@@ -207,50 +200,55 @@ def test_stats_are_plain_data():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_packed_matches_matrix_and_oracle(d, sweeps_used):
-    stream = SeedSpec(97, d).stream("packed-vs-matrix")
+def test_multi_word_matches_oracle(d, monkeypatch):
+    # 8-bit words hold 8, 4, 4 and 2 fields at d = 2, 3, 4, 5, so oracle
+    # sizes span one to three words
+    monkeypatch.setattr(backtracker, "WORD_BITS", 8)
+    stream = SeedSpec(97, d).stream("multi-word")
+    max_n = {2: 13, 3: 8, 4: 7, 5: 6}[d]
+    words = set()
     for trial in range(12):
         k = 2 + stream.randbelow(2)
-        n = k + stream.randbelow((6 if d <= 3 else 5) - k + 1)
+        n = k + stream.randbelow(max_n - k + 1)
         if trial % 2:
             q = d + stream.randbelow(d**k - d + 1)  # non-strict
         else:
             q = 1 + stream.randbelow(d - 1)
         t = stream.randbelow(2 * n + 1)
         inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(97, trial))
-        report = brute_force(inst)
-        expected = SearchStats(report.node_count, report.level_counts[-1],
-                               report.level_counts, report.solutions)
+        words.add(word_count(inst))
+        expected = oracle_stats(inst)
         for order in (None, list(reversed(range(d)))):
             assert solve_all(inst, collect=True, value_order=order) == expected
-            assert matrix_solve(inst, collect=True, value_order=order) == expected
-        assert solve_all(inst) == replace(expected, solutions=None)
-    assert "_matrix_sweep" not in sweeps_used
+            assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
+    assert max(words) >= 2
 
 
 @pytest.mark.parametrize("n, d", [(63, 2), (31, 3)])
-def test_packed_path_up_to_63_bits(n, d, sweeps_used):
+def test_packed_path_up_to_63_bits(n, d, monkeypatch):
     stats = solve_all(chain(n, d), collect=True)
+    assert word_count(chain(n, d)) == 1
     assert stats.level_counts == tuple(math.comb(i + d - 1, d - 1) for i in range(n + 1))
     assert stats.solutions == tuple(itertools.combinations_with_replacement(range(d), n))
-    for order in (None, list(reversed(range(d)))):
-        inst = chain(n, d, extra_t=n)
-        assert solve_all(inst, collect=True, value_order=order) == matrix_solve(
-            inst, collect=True, value_order=order
-        )
-    assert set(sweeps_used) == {"_packed_sweep"}
+    inst = chain(n, d, extra_t=n)
+    one_word = [solve_all(inst, collect=True, value_order=order)
+                for order in (None, list(reversed(range(d))))]
+    monkeypatch.setattr(backtracker, "WORD_BITS", 8)
+    assert word_count(inst) > 1
+    for order, expected in zip((None, list(reversed(range(d)))), one_word):
+        assert solve_all(inst, collect=True, value_order=order) == expected
 
 
 @pytest.mark.parametrize("n, d", [(64, 2), (32, 3)])
-def test_matrix_path_beyond_63_bits(n, d, sweeps_used):
+def test_two_words_beyond_63_bits(n, d):
     stats = solve_all(chain(n, d), collect=True)
-    assert sweeps_used == ["_matrix_sweep"]
+    assert word_count(chain(n, d)) == 2
     assert stats.level_counts == tuple(math.comb(i + d - 1, d - 1) for i in range(n + 1))
     assert stats.solutions == tuple(itertools.combinations_with_replacement(range(d), n))
 
 
-@pytest.mark.parametrize("n, sweep", [(4, "_packed_sweep"), (64, "_matrix_sweep")])
-def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps_used):
+@pytest.mark.parametrize("n, words", [(4, 1), (64, 2)])
+def test_level_budget_is_checked_before_allocating(n, words, monkeypatch):
     """A count-only solve has no size budget; collecting has a solution budget.
 
     Both instances have levels over 8 prefixes, which the old level budget
@@ -258,6 +256,7 @@ def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps
     """
     monkeypatch.setattr(backtracker, "MAX_COLLECTED_SOLUTIONS", 8)
     inst = unconstrained(4, 2) if n == 4 else chain(64, 2)
+    assert word_count(inst) == words
     counts = (1, 2, 4, 8, 16) if n == 4 else tuple(range(1, 66))
     stats = solve_all(inst)
     assert stats.level_counts == counts
@@ -265,34 +264,80 @@ def test_level_budget_is_checked_before_allocating(n, sweep, monkeypatch, sweeps
     with pytest.raises(ValueError, match=f"^at least {counts[-1]} solutions to collect, "
                                          "over the budget of 8$"):
         solve_all(inst, collect=True)
-    assert sweeps_used == [sweep, sweep]
     monkeypatch.setattr(backtracker, "MAX_COLLECTED_SOLUTIONS", counts[-1])
     assert solve_all(inst, collect=True).solution_count == counts[-1]
 
 
-def absolute_checks(inst, b):
-    """The matrix layout's ``_check_at_depth`` checks per depth, re-encoded
-    as sorted packed (mask, patterns) pairs with variable v at bits (n-1-v)*b."""
+# nodes and level counts of sample_instance(params, SeedSpec(1, 0)), as the
+# earlier (rows, depth) value-matrix solver for n * b > 63 computed them
+WIDE_PINS = [
+    (Params(n=64, d=2, k=3, t=1280, q=1), 111505,
+     (1, 2, 4, 8, 16, 32, 64, 112, 200, 336, 672, 824, 1648, 2920, 3844, 3810, 6092, 5061,
+      5946, 5590, 4670, 3313, 3941, 2980, 1560, 1233, 258, 164, 158, 152, 60, 60, 21)),
+    (Params(n=40, d=3, k=2, t=400, q=2), 2965,
+     (1, 3, 9, 15, 45, 72, 90, 214, 142, 62, 65, 97, 49, 48, 52, 24)),
+    (Params(n=64, d=2, k=3, t=300, q=3), 339,
+     (1, 2, 3, 6, 9, 6, 6, 12, 18, 32, 44, 2, 4, 6, 3, 3, 6, 6)),
+    (Params(n=33, d=4, k=2, t=200, q=5), 37773,
+     (1, 4, 11, 19, 48, 138, 552, 1518, 1399, 892, 1296, 3121, 80, 112, 136, 40, 56, 20)),
+]
+
+
+@pytest.mark.parametrize("params, nodes, nonzero", WIDE_PINS)
+def test_wide_solves_match_pinned_counts(params, nodes, nonzero):
+    inst = sample_instance(params, SeedSpec(1, 0))
+    assert word_count(inst) == 2
+    levels = nonzero + (0,) * (params.n + 1 - len(nonzero))
+    for order in (None, list(reversed(range(params.d)))):
+        stats = solve_all(inst, value_order=order)
+        assert (stats.nodes, stats.level_counts) == (nodes, levels)
+
+
+def reference_checks(inst):
+    """``_check_at_depth`` checks per depth in the word layout, worked out
+    here: with per = WORD_BITS // b fields a word, variable v lies in word
+    v // per, whose last variable sits at shift 0.  A check is its sorted
+    (word, mask) parts and the sorted tuples of its per-part patterns."""
     n, d = inst.params.n, inst.params.d
+    b = (d - 1).bit_length()
+    per = backtracker.WORD_BITS // b
+
+    def place(v):
+        w = v // per
+        return w, (min(n, (w + 1) * per) - 1 - v) * b
+
     tables = []
     for checks in backtracker._checks_at(inst):
-        packed = []
+        canonical = []
         for cols, weights, blocked in checks:
-            mask = sum(((1 << b) - 1) << (n - 1 - c) * b for c in cols)
-            patterns = [sum((code // w % d) << (n - 1 - c) * b for c, w in zip(cols, weights))
-                        for code in blocked]
-            packed.append((mask, sorted(patterns)))
-        tables.append(sorted(packed))
+            words = sorted({place(c)[0] for c in cols})
+            masks = [sum(((1 << b) - 1) << place(c)[1] for c in cols if place(c)[0] == w)
+                     for w in words]
+            patterns = sorted(
+                tuple(sum((code // wt % d) << place(c)[1] for c, wt in zip(cols, weights)
+                          if place(c)[0] == w) for w in words)
+                for code in blocked)
+            canonical.append((tuple(zip(words, masks)), patterns))
+        tables.append(sorted(canonical))
     return tables
 
 
-def test_tables_match_the_generic_checks():
+def canonical_tables(tables):
+    return [sorted((tuple((w, m) for w, m, _ in sorted(check)),
+                    sorted(zip(*(p for _, _, p in sorted(check)))))
+                   for check in checks)
+            for checks in tables]
+
+
+def test_tables_match_the_generic_checks(monkeypatch):
     stream = SeedSpec(96, 0).stream("tables")
     for trial in range(120):
+        word_bits = (63, 8, 12)[trial // 4 % 3]
+        monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
         d = 2 + stream.randbelow(4)
         k = 2 + stream.randbelow(3)
-        b = backtracker._field_bits(d)
-        n = k + stream.randbelow(63 // b - k + 1)  # the packed layout's range
+        b = (d - 1).bit_length()
+        n = k + stream.randbelow(3 * (word_bits // b) - k + 1)  # one to three words
         kind = trial % 4
         if kind == 0:
             q = 1 + stream.randbelow(d - 1)  # strict
@@ -304,10 +349,24 @@ def test_tables_match_the_generic_checks():
             q = d**k
         params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(96, trial))
-        tables = backtracker._tables(inst, b)
+        tables = backtracker._tables(inst, *layout(inst))
         assert len(tables) == n
-        fast = [sorted((m, sorted(p)) for m, p in checks) for checks in tables]
-        assert fast == absolute_checks(inst, b)
+        assert canonical_tables(tables) == reference_checks(inst)
+    # d**k > 2**62, past the range of int64 tuple codes: two words at
+    # n = k = 27, d = 5 and n = k = 64, d = 2
+    monkeypatch.setattr(backtracker, "WORD_BITS", 63)
+    for n, d in ((27, 5), (64, 2)):
+        for q in (1, d - 1, d, d**2 + 3):
+            inst = sample_instance(Params(n=n, d=d, k=n, t=3, q=q), SeedSpec(96, q))
+            assert word_count(inst) == 2
+            tables = backtracker._tables(inst, *layout(inst))
+            assert canonical_tables(tables) == reference_checks(inst)
+    # a full run of ranks above 2**63: both tuples set variables 0..62 to 1
+    ones = (1,) * 63
+    inst = one_constraint(tuple(range(63, -1, -1)), {(0,) + ones, (1,) + ones}, n=64, d=2)
+    tables = backtracker._tables(inst, *layout(inst))
+    assert canonical_tables(tables) == reference_checks(inst)
+    assert [len(checks[0]) for checks in tables[62:]] == [1, 2]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -338,18 +397,22 @@ def test_block_splits_are_exact(block_rows, monkeypatch):
 
 def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
     # n=20, d=2 has a widest level of 2**20 prefixes (8 MiB as int64 codes);
-    # the walk may hold at most n * d * BLOCK_ROWS codes of 8 bytes, plus a
-    # margin for the temporaries of one extension and Python objects.
+    # the walk may hold at most n * d * BLOCK_ROWS prefixes of W words of 8
+    # bytes, plus a margin for the temporaries of one extension and Python
+    # objects.  10-bit words split the prefixes into W = 2 words.
     block_rows = 2**8
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
     n, d = 20, 2
-    bound = n * d * block_rows * 8 + 64 * 2**10
     inst = unconstrained(n, d)
-    tracemalloc.start()
-    try:
-        stats = solve_all(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.level_counts == tuple(2**i for i in range(n + 1))
-    assert peak < bound
+    for word_bits, words in ((63, 1), (10, 2)):
+        monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+        assert word_count(inst) == words
+        bound = n * d * block_rows * 8 * words + 64 * 2**10
+        tracemalloc.start()
+        try:
+            stats = solve_all(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.level_counts == tuple(2**i for i in range(n + 1))
+        assert peak < bound

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbcsp import generator, oracle
+from gbcsp import backtracker, generator, oracle
 from gbcsp.generator import sample_constraint
 from gbcsp.model import ConstraintSpec, Instance, Params, is_violated
 from gbcsp.rng import SeedSpec
@@ -132,7 +132,7 @@ class TestExactNodeFraction:
 
 def test_compare_with_solver_flags():
     report = compare_with_solver(one_constraint((0, 1), {(0, 0)}, n=2, d=2))
-    assert report.matches == {"nodes": True, "level_counts": True, "solutions": True}
+    assert report.matches == {"nodes": True, "level_counts": True, "solutions": True, "order": True}
     assert report.node_count == 7
 
 
@@ -141,6 +141,22 @@ def test_verification_report_all_green():
     assert results
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def test_verification_report_solves_each_instance_twice(monkeypatch):
+    # one collecting solve for the oracle comparison and the order check,
+    # one count-only solve in reversed value order
+    real = backtracker.solve_all
+    collects = []
+
+    def counting(inst, collect=False, value_order=None):
+        collects.append(collect)
+        return real(inst, collect, value_order)
+
+    monkeypatch.setattr(backtracker, "solve_all", counting)
+    verification_report(master_seed=1, instances=10)
+    assert len(collects) == 20
+    assert sum(collects) == 10
 
 
 def test_verification_report_keeps_each_checks_own_failure(monkeypatch):
