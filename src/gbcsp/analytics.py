@@ -308,11 +308,9 @@ def _asymptotics(
     return regime, x, big_f, lp, _logaddexp(0.0, lp + n * big_f)
 
 
-def log_asymptotic_nodes_at(
-    n: int, ap: AnalyticParams, band: float = CRITICAL_BAND
-) -> tuple[float, float, str]:
+def log_asymptotic_nodes_at(n: int, ap: AnalyticParams) -> tuple[float, float, str]:
     """(ln prefactor, ln(1 + prefactor * exp(n F)), regime)."""
-    regime, _, _, lp, lta = _asymptotics(n, ap, DEFAULT_TOL, band)
+    regime, _, _, lp, lta = _asymptotics(n, ap, DEFAULT_TOL, CRITICAL_BAND)
     return lp, lta, regime
 
 

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", type=str, default=None, help="CSV output path")
     sub.add_argument("--plotdata", type=str, default=None,
                      help="also write whitespace-separated plot data here")
-    sub.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
+    sub.add_argument("--jobs", type=int, default=None, help="at most this many worker processes")
     sub.set_defaults(func=cmd_sweep)
 
     sub = subs.add_parser("verify", help="run the brute-force cross-check suite")

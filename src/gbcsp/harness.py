@@ -7,13 +7,16 @@ success, and lines the sample statistics up against the exact and
 asymptotic expected-node formulas.  Runs are bit-reproducible: per-trial
 records depend only on (master_seed, trial index, point), aggregation is a
 deterministic fold in trial order, and floats are rendered with shortest
-round-trip repr.
+round-trip repr.  With ``jobs > 1`` a sweep runs pieces of every point's
+trials through ``run_point`` on one pool of at most ``jobs`` workers (and
+no more than the machine's CPUs), so the worker count never changes a row.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,8 +109,8 @@ class SummaryRow:
     z_score: float | None
 
 
-def _run_one_trial(args) -> tuple[int, int | None, bool | None, bool | None]:
-    params, master_seed, trial, measures = args
+def _run_one_trial(params: Params, master_seed: int, trial: int,
+                   measures) -> tuple[int, int | None, bool | None, bool | None]:
     spec = SeedSpec(master_seed, trial)
     label = f"instance/t{params.t}"
     inst = sample_instance(params, spec, label=label)
@@ -123,23 +126,16 @@ def _run_one_trial(args) -> tuple[int, int | None, bool | None, bool | None]:
     return trial, nodes, sat, uc_ok
 
 
-def run_point(params: Params, trials: int, master_seed: int, measures, jobs: int = 1,
-              trial_offset: int = 0):
+def run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0):
     """Per-trial records, in trial order, for one grid point.
 
     Trial j's draws depend only on (master_seed, trial_offset + j, point), so
     one 2N-trial run splits into two N-trial runs that pool identically.
     """
-    tasks = [
-        (params, master_seed, trial, tuple(measures))
+    return [
+        _run_one_trial(params, master_seed, trial, measures)
         for trial in range(trial_offset, trial_offset + trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one_trial, tasks, chunksize=max(1, trials // (jobs * 8))))
-    else:
-        records = [_run_one_trial(t) for t in tasks]
-    return records
 
 
 def _mean_stderr(values: list[int]) -> tuple[float, float | None]:
@@ -186,17 +182,24 @@ def summarize_point(params: Params, records, measures) -> SummaryRow:
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
-    """All grid points; invalid points are reported and skipped."""
-    rows = []
+    """All grid points; invalid points are reported and skipped.  A pool
+    runs pieces of ``max(1, trials // (jobs * 8))`` trials, joined in order."""
+    points = []
     for t in config.t_grid:
         try:
-            params = Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q)
+            points.append(Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q))
         except (ValueError, TypeError) as exc:
             print(f"skipping grid point t={t}: {exc}", file=sys.stderr)
-            continue
-        records = run_point(params, config.trials, config.master_seed, config.measures, config.jobs)
-        rows.append(summarize_point(params, records, config.measures))
-    return rows
+    trials, seed, measures = config.trials, config.master_seed, config.measures
+    if config.jobs == 1 or not points:
+        return [summarize_point(p, run_point(p, trials, seed, measures), measures) for p in points]
+    size = max(1, trials // (config.jobs * 8))
+    starts = range(0, trials, size)
+    pieces = [(p, min(size, trials - start), seed, measures, start) for p in points for start in starts]
+    workers = min(config.jobs, os.cpu_count() or 1, len(pieces))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = pool.map(run_point, *zip(*pieces))
+        return [summarize_point(p, [rec for _ in starts for rec in next(done)], measures) for p in points]
 
 
 # --- output ----------------------------------------------------------------

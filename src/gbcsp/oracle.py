@@ -32,12 +32,12 @@ class OracleReport:
     matches: dict[str, bool] | None = None
 
 
-def brute_force(inst: Instance, limit: int = BRUTE_FORCE_LIMIT) -> OracleReport:
+def brute_force(inst: Instance) -> OracleReport:
     """Enumerate all d**i prefixes of every level with naive re-checking."""
     params = inst.params
     n, d = params.n, params.d
-    if d**n > limit:
-        raise ValueError(f"search space d^n = {d ** n} exceeds oracle limit {limit}")
+    if d**n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"search space d^n = {d ** n} exceeds oracle limit {BRUTE_FORCE_LIMIT}")
     level_counts = []
     solutions = []
     for depth in range(n + 1):
@@ -53,11 +53,11 @@ def brute_force(inst: Instance, limit: int = BRUTE_FORCE_LIMIT) -> OracleReport:
     return OracleReport(tuple(level_counts), tuple(solutions), node_count)
 
 
-def compare_with_solver(inst: Instance, limit: int = BRUTE_FORCE_LIMIT) -> OracleReport:
+def compare_with_solver(inst: Instance) -> OracleReport:
     """Brute-force report with per-quantity agreement flags vs. the solver."""
     from .backtracker import solve_all
 
-    report = brute_force(inst, limit)
+    report = brute_force(inst)
     stats = solve_all(inst, collect=True)
     matches = {
         "nodes": stats.nodes == report.node_count,

@@ -9,7 +9,8 @@ label_utf8)``.  Distinct labels give decorrelated sub-streams of the same
 trial (e.g. instance draws vs. solver randomness).
 
 Bounded integers are drawn by rejection sampling on whole 64-bit words,
-which is exactly uniform for any bound.
+which is exactly uniform for any bound up to 2**64; larger bounds are
+refused (no caller needs one: ranks and variable indices are 64-bit).
 
 SplitMix64 is counter-based: its state advances by the odd constant GAMMA
 on every word, so word j after state s0 is ``mix(s0 + (j+1)*GAMMA mod
@@ -60,27 +61,16 @@ class Stream:
         return z
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound); unbiased for any positive bound."""
+        """Uniform integer in [0, bound); unbiased for 0 < bound <= 2**64."""
         if 1 < bound <= _SPAN64:
-            # the general loop below with words == 1, minus its bookkeeping
-            limit = _SPAN64 - _SPAN64 % bound
+            limit = _SPAN64 - _SPAN64 % bound  # largest multiple of bound <= 2**64
             u = self.next_u64()
             while u >= limit:
                 u = self.next_u64()
             return u % bound
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
         if bound == 1:
             return 0
-        words = ((bound - 1).bit_length() + 63) // 64
-        span = 1 << (64 * words)
-        limit = span - span % bound  # largest multiple of bound <= span
-        while True:
-            u = 0
-            for _ in range(words):
-                u = (u << 64) | self.next_u64()
-            if u < limit:
-                return u % bound
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
 
 
 @dataclass(frozen=True)

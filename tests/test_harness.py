@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from gbcsp import harness
 from gbcsp.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -16,6 +18,33 @@ from gbcsp.harness import (
     summarize_point,
 )
 from gbcsp.model import Params
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replaces ProcessPoolExecutor with a recorder that starts no process
+    and runs ``map`` in this process; gives the list of pools made, on a
+    machine that reports 8 CPUs."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            self.pieces = list(zip(*iterables))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    return made
 
 
 def small_config(**overrides):
@@ -108,10 +137,39 @@ class TestSweep:
         assert rows[0].t == 0
         assert "skipping grid point t=-1" in capsys.readouterr().err
 
-    def test_jobs_do_not_change_results(self):
+    def test_jobs_do_not_change_results(self, capsys):
         serial = run_sweep(small_config(trials=6))
         parallel = run_sweep(small_config(trials=6, jobs=2))
         assert serial == parallel
+        # a real pool: 53 trials cut into pieces of 53 // 16 = 3, the last one
+        # of 2, over three valid points and one invalid one
+        config = small_config(t_grid=(-1, 0, 4, 8), trials=53)
+        serial = run_sweep(config)
+        assert len(serial) == 3
+        assert run_sweep(dataclasses.replace(config, jobs=2)) == serial
+        assert capsys.readouterr().err.count("skipping grid point t=-1") == 2
+
+    def test_one_pool_per_sweep(self, pools):
+        config = small_config(t_grid=(0, 4, 8), trials=40)
+        rows = run_sweep(dataclasses.replace(config, jobs=2))
+        (pool,) = pools
+        # pieces of 40 // 16 = 2 trials; the 8 CPUs do not bind
+        assert pool.max_workers == 2
+        assert [(p.t, count, start) for p, count, _, _, start in pool.pieces] == [
+            (t, 2, start) for t in (0, 4, 8) for start in range(0, 40, 2)
+        ]
+        assert rows == run_sweep(config)
+
+    @pytest.mark.parametrize("jobs, cpus, trials, workers", [
+        (100_000, 8, 40, 8), (100_000, None, 40, 1), (4, 8, 1, 2), (3, 8, 40, 3),
+    ])
+    def test_workers_are_capped(self, pools, monkeypatch, jobs, cpus, trials, workers):
+        # never more workers than CPUs or pieces (two points of one trial
+        # each make two pieces)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        run_sweep(small_config(t_grid=(0, 4), trials=trials, jobs=jobs))
+        (pool,) = pools
+        assert pool.max_workers == workers
 
     def test_non_strict_point_reports_no_formulas(self):
         config = ExperimentConfig(
