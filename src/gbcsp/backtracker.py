@@ -12,14 +12,17 @@ consistent tree is enumerated, that count does not depend on visit order.
 The implementation walks the tree depth first over numpy blocks of
 prefixes rather than one prefix at a time.  A stack holds one frame per
 depth, (depth, prefixes, next offset); the driver takes the next
-``BLOCK_ROWS`` prefixes (or fewer) of the top frame, extends them by one
-variable, filters them, adds the survivors to c_{depth+1} and pushes them as
-a new frame.  The observable outputs (node count, level profile, solution
-set) are those of the one-prefix-at-a-time traversal, and are cross-checked
-against a naive re-check-everything oracle in the test suite.  A frame holds
-at most d * BLOCK_ROWS prefixes, so at most n * d * BLOCK_ROWS prefixes are
-live however wide the widest level is, and a count-only solve refuses no
-size.  Counts are Python ints and therefore exact at any size.
+``BLOCK_ROWS`` prefixes (or fewer) of the top frame, tests the next
+variable's checks on them, builds the surviving children value-major (all
+with the first value in visit order, then the next), adds them to
+c_{depth+1} and pushes them as a new frame; at the last depth a count-only
+solve counts them and builds nothing.  The observable outputs (node count,
+level profile, solution set) are those of the one-prefix-at-a-time
+traversal, and are cross-checked against a naive re-check-everything oracle
+in the test suite.  A frame holds at most d * BLOCK_ROWS prefixes, so at
+most n * d * BLOCK_ROWS prefixes are live however wide the widest level is,
+and a count-only solve refuses no size.  Counts are Python ints and
+therefore exact at any size.
 
 Each prefix is W int64 words of b = ceil(log2 d) bits per variable.  A word
 holds WORD_BITS // b whole fields, variables in order, its last variable at
@@ -27,10 +30,17 @@ shift 0; as no field straddles two words, assigning a variable ORs one
 pre-shifted value into one word and a mask reads any field from one word.
 Word-major order is lexicographic order, and when n * b <= WORD_BITS the one
 word holds variable v at bits (n-1-v)*b.  A block of prefixes is a list of
-arrays, one per word begun so far.  A check has a (word, mask, patterns)
-part per word it touches, at most min(k, W): a prefix violates it iff, for
-some j, ``word & mask`` equals patterns[j] in every part.  Any d the
-instance arrays allow fits, since d**k <= 2**64 with k >= 2 gives b <= 32.
+arrays, one per word begun so far.  Any d the instance arrays allow fits,
+since d**k <= 2**64 with k >= 2 gives b <= 32.
+
+Every check at depth i includes variable i's field, so each forbidden
+pattern splits into a value v of variable i and a parent pattern that rules
+out the child with value v of each parent it matches, tested on 1/d of the
+rows the children have.  A check at depth i is those values and a (word,
+mask, patterns) part per parent word it tests, at most min(k, W): a parent
+rules out its child with values[j] iff ``word & mask`` equals patterns[j] in
+every part.  The part in variable i's word, without field i, is dropped
+when nothing is left in it.
 
 A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
 when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
@@ -115,25 +125,6 @@ def _checks_at(inst: Instance) -> list[list]:
     return checks_at
 
 
-def _match_any(code: np.ndarray, blocked) -> np.ndarray:
-    if len(blocked) == 1:
-        return code == blocked[0]
-    if len(blocked) <= 8:
-        bad = code == blocked[0]
-        for b in blocked[1:]:
-            bad |= code == b
-        return bad
-    return np.isin(code, np.asarray(blocked, dtype=np.int64))
-
-
-def _match_parts(words, check) -> np.ndarray:
-    """Rows of the prefix ``words`` whose fields equal one of ``check``'s
-    patterns in every (word, mask, patterns) part."""
-    keys = [words[w] & mask for w, mask, _ in check]
-    return np.logical_or.reduce([np.logical_and.reduce([key == p for key, p in zip(keys, pattern)])
-                                 for pattern in zip(*(patterns for _, _, patterns in check))])
-
-
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, d: int, word_bits: int):
     """Word and shift of every variable: b = ceil(log2 d) bits per field,
@@ -148,8 +139,9 @@ def _layout(n: int, d: int, word_bits: int):
 
 
 def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[list]:
-    """Checks grouped by depth, each a tuple of (word, mask, patterns) parts,
-    built from the scope and rank arrays in one numpy pass."""
+    """Checks grouped by depth, each (values, parts) with (word, mask,
+    patterns) parts over the parent's words, built from the scope and rank
+    arrays in one numpy pass."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
     scopes = inst.scopes
@@ -158,8 +150,9 @@ def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[l
     digits = rank_tuples(inst.ranks, d, k)
     # fields[c, p]: constraint c's forbidden tuples at scope position p, each
     # in its field, and last the field's mask
+    field = (1 << (d - 1).bit_length()) - 1
     fields = np.concatenate([digits.astype(np.int64).transpose(0, 2, 1),
-                             np.full((len(scopes), k, 1), (1 << (d - 1).bit_length()) - 1)], axis=2)
+                             np.full((len(scopes), k, 1), field)], axis=2)
     # Part i of a check holds the scope positions p whose variable is in
     # the word of sorted position i and not after it.  Fields in one word
     # occupy disjoint bits, so summing them ORs them.
@@ -179,10 +172,14 @@ def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[l
         run = d ** (k - 1 - j)
         if run > q:
             continue
+        # Sorted position j's own field: its values, and the parent part
+        # (patterns and last the mask) that is part j less that field.
+        at = shift_of[ordered[:, j]][:, None]
+        own, parent = parts[:, j, :q] >> at & field, parts[:, j] & ~(field << at)
         # picks[c]: constraint c's tuples whose patterns block at position j
         if run == 1:  # the last scope variable: every forbidden tuple blocks
             picks = [slice(None)] * len(scopes)
-            pats = patterns[:, j].tolist()
+            vals, pats = own.tolist(), parent[:, :q].tolist()
         else:
             # Sorted projections: a window of ``run`` equal values is a full
             # run, since no projection has more than ``run`` completions.
@@ -190,26 +187,31 @@ def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[l
             starts = proj[:, : q - run + 1] == proj[:, run - 1 :]
             picks = [[s for s, start in zip(row, run_starts) if start]
                      for row, run_starts in zip(by_rank[:, : q - run + 1].tolist(), starts.tolist())]
-            pats = [[row[s] for s in pick] for row, pick in zip(patterns[:, j].tolist(), picks)]
-        checks = [((w, m, p),) for w, m, p in zip(word[:, j].tolist(), masks[:, j].tolist(), pats)]
+            vals, pats = ([[row[s] for s in pick] for row, pick in zip(a.tolist(), picks)]
+                          for a in (own, parent[:, :q]))
+        checks = [((w, m, p),) if m else ()
+                  for w, m, p in zip(word[:, j].tolist(), parent[:, q].tolist(), pats)]
         # a check spanning words has a part for each earlier word too, at
         # that word's last sorted position
         for c in spans:
-            if pats[c] and word[c, 0] != word[c, j]:
+            if vals[c] and word[c, 0] != word[c, j]:
                 ends = np.flatnonzero(word[c, :j] != word[c, 1 : j + 1]).tolist()
                 checks[c] = tuple((int(word[c, i]), int(masks[c, i]), patterns[c, i, picks[c]].tolist())
                                   for i in ends) + checks[c]
-        for v, check, p in zip(ordered[:, j].tolist(), checks, pats):
-            if p:
-                tables[v].append(check)
+        for v, value, check in zip(ordered[:, j].tolist(), vals, checks):
+            if value:
+                tables[v].append((value, check))
     return tables
 
 
-def _depth_first(params: Params, word: list[int], values: np.ndarray, tables, collect: bool):
+def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list[int], tables,
+                 collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
     prefixes from the empty prefix.  A block at depth i, a list of word
-    arrays, is extended by each of ``values[i]`` in variable i's word
-    ``word[i]``, and ``tables[i]`` filters the extensions.
+    arrays, is checked against ``tables[i]``, which marks in ``killed`` the
+    children each parent row rules out, value v in row ``slot[v]``.  The
+    rest are built value-major, each of ``values[i]`` ORed into variable
+    i's word ``word[i]``; at the last depth a count-only walk just counts them.
 
     Returns (nodes, level_counts, blocks of solutions); the blocks are
     empty unless ``collect``.
@@ -227,29 +229,40 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, tables, co
         stop = start + BLOCK_ROWS
         if stop < rows[0].shape[0]:
             stack.append((depth, rows, stop))
+        parent = [x[start:stop] for x in rows]
+        size = parent[0].shape[0]
+        checks = tables[depth]
+        killed = np.zeros((d, size), dtype=bool)
+        for vals, parts in checks:
+            keys = [parent[w] & mask for w, mask, _ in parts]
+            if len(keys) == 1:  # the usual check, within variable i's word
+                for v, p in zip(vals, parts[0][2]):
+                    killed[slot[v]] |= keys[0] == p
+                continue
+            for v, *pats in zip(vals, *(p for _, _, p in parts)):
+                hit = True
+                for key, p in zip(keys, pats):
+                    hit = hit & (key == p)
+                killed[slot[v]] |= hit
+        if depth + 1 == n and not collect:
+            level_counts[n] += d * size - int(np.count_nonzero(killed))
+            continue
         w = word[depth]
         # a variable that opens a new word is ORed into a zero word
-        cur = rows[w][start:stop] if w < len(rows) else np.zeros_like(rows[0][start:stop])
-        nxt = [np.repeat(x[start:stop], d) for x in rows[:w]]
-        nxt.append((cur[:, None] | values[depth]).ravel())
-        bad = None
-        for check in tables[depth]:
-            if len(check) == 1:  # one word: one mask-compare
-                ((v, mask, patterns),) = check
-                hit = _match_any(nxt[v] & mask, patterns)
-            else:
-                hit = _match_parts(nxt, check)
-            bad = hit if bad is None else np.logical_or(bad, hit, out=bad)
-        if bad is not None:
-            keep = ~bad
+        own = parent[w] if w < len(parent) else np.zeros(size, dtype=np.int64)
+        nxt = [np.broadcast_to(x, (d, size)) for x in parent[:w]] + [own | values[depth][:, None]]
+        if checks:
+            keep = ~killed
             nxt = [x[keep] for x in nxt]
+        else:
+            nxt = [x.reshape(-1) for x in nxt]
         kept = nxt[0].shape[0]
         if not kept:
             continue
         level_counts[depth + 1] += kept
         if depth + 1 < n:
             stack.append((depth + 1, nxt, 0))
-        elif collect:
+        else:
             collected += kept
             if collected > MAX_COLLECTED_SOLUTIONS:
                 raise ValueError(
@@ -276,9 +289,10 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     word_of, shift_of = _layout(n, d, WORD_BITS)
     # values[i]: each value of variable i, in visit order, in its field
     values = np.asarray(order, dtype=np.int64) << shift_of[:, None]
+    slot = np.argsort(order).tolist()
     tables = _tables(inst, word_of, shift_of)
     word = word_of.tolist()
-    nodes, level_counts, found = _depth_first(inst.params, word, values, tables, collect)
+    nodes, level_counts, found = _depth_first(inst.params, word, values, slot, tables, collect)
     solutions = None
     if collect:
         # Word-major order is lexicographic order: sort on word 0 first.

@@ -27,7 +27,8 @@ be rejected, so only those are walked in order.  Fisher-Yates then runs as
 k vector steps and Floyd as q vector steps over all rows of the block
 (instances are held as arrays; see ``model.Instance``).  The result is the
 scalar draw exactly.  Blocks hold at most ``BLOCK_ROWS`` rows.  The arrays
-need d**k <= 2**64 (and n <= 2**63); larger parameters are refused.
+need d**k <= 2**64 (and n <= 2**63); larger parameters are refused, and so
+is a t whose arrays would pass ``MAX_INSTANCE_BYTES``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .rng import SeedSpec, Stream
 
 # Rows per word block, which bounds the sampler's working memory.
 BLOCK_ROWS = 1 << 16
+# Most bytes of scope and rank arrays (8 per entry, k + q entries per
+# constraint) one instance may take; sample_instance refuses more up front.
+MAX_INSTANCE_BYTES = 1 << 28
 
 _SPAN64 = 1 << 64
 
@@ -182,8 +186,17 @@ def constraint_blocks(params: Params, count: int, stream: Stream) -> Iterator[tu
         yield _draw(params, plan, min(BLOCK_ROWS, count - start), stream)
 
 
+def check_instance_size(params: Params) -> None:
+    """Refuse a t whose scope and rank arrays pass ``MAX_INSTANCE_BYTES``."""
+    size = params.t * (params.k + params.q) * 8
+    if size > MAX_INSTANCE_BYTES:
+        raise ValueError(f"t={params.t} needs {size} bytes of scope and rank arrays, "
+                         f"over the budget of {MAX_INSTANCE_BYTES}")
+
+
 def sample_instance(params: Params, seed: SeedSpec, label: str = "instance") -> Instance:
     """Draw one instance; fully determined by (params, seed, label)."""
+    check_instance_size(params)
     blocks = list(constraint_blocks(params, params.t, seed.stream(label)))
     if len(blocks) == 1:
         scopes, ranks = blocks[0]

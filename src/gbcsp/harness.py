@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import analytics
 from .backtracker import solve_all
-from .generator import sample_instance
+from .generator import check_instance_size, sample_instance
 from .model import Params, require_int
 from .rng import SeedSpec
 from .uc import run_uc
@@ -182,22 +182,25 @@ def summarize_point(params: Params, records, measures) -> SummaryRow:
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
-    """All grid points; invalid points are reported and skipped.  A pool
-    runs pieces of ``max(1, trials // (jobs * 8))`` trials, joined in order."""
+    """All grid points; invalid points are reported and skipped.  A pool of
+    ``workers = min(jobs, CPUs)`` runs pieces of ``max(1, trials //
+    (workers * 8))`` trials, joined in order."""
     points = []
     for t in config.t_grid:
         try:
-            points.append(Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q))
+            params = Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q)
+            check_instance_size(params)
+            points.append(params)
         except (ValueError, TypeError) as exc:
             print(f"skipping grid point t={t}: {exc}", file=sys.stderr)
     trials, seed, measures = config.trials, config.master_seed, config.measures
     if config.jobs == 1 or not points:
         return [summarize_point(p, run_point(p, trials, seed, measures), measures) for p in points]
-    size = max(1, trials // (config.jobs * 8))
+    workers = min(config.jobs, os.cpu_count() or 1)
+    size = max(1, trials // (workers * 8))
     starts = range(0, trials, size)
     pieces = [(p, min(size, trials - start), seed, measures, start) for p in points for start in starts]
-    workers = min(config.jobs, os.cpu_count() or 1, len(pieces))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
         done = pool.map(run_point, *zip(*pieces))
         return [summarize_point(p, [rec for _ in starts for rec in next(done)], measures) for p in points]
 

@@ -322,11 +322,26 @@ def reference_checks(inst):
     return tables
 
 
-def canonical_tables(tables):
-    return [sorted((tuple((w, m) for w, m, _ in sorted(check)),
-                    sorted(zip(*(p for _, _, p in sorted(check)))))
-                   for check in checks)
-            for checks in tables]
+def canonical_tables(tables, inst):
+    """``_tables``'s checks in ``reference_checks``'s form: at depth i each
+    parent pattern is joined back with its value in variable i's field,
+    which no parent part may touch."""
+    word_of, shift_of = layout(inst)
+    field = (1 << (inst.params.d - 1).bit_length()) - 1
+    canonical = []
+    for i, checks in enumerate(tables):
+        own, shift = int(word_of[i]), int(shift_of[i])
+        joined = []
+        for values, parts in checks:
+            assert all(m and (w < own or w == own and not m & field << shift) for w, m, _ in parts)
+            words = {w: (m, p) for w, m, p in parts}
+            mask, patterns = words.get(own, (0, [0] * len(values)))
+            words[own] = (mask | field << shift, [p | v << shift for p, v in zip(patterns, values)])
+            keys = sorted(words)
+            joined.append((tuple((w, words[w][0]) for w in keys),
+                           sorted(zip(*(words[w][1] for w in keys)))))
+        canonical.append(sorted(joined))
+    return canonical
 
 
 def test_tables_match_the_generic_checks(monkeypatch):
@@ -351,7 +366,7 @@ def test_tables_match_the_generic_checks(monkeypatch):
         inst = sample_instance(params, SeedSpec(96, trial))
         tables = backtracker._tables(inst, *layout(inst))
         assert len(tables) == n
-        assert canonical_tables(tables) == reference_checks(inst)
+        assert canonical_tables(tables, inst) == reference_checks(inst)
     # d**k > 2**62, past the range of int64 tuple codes: two words at
     # n = k = 27, d = 5 and n = k = 64, d = 2
     monkeypatch.setattr(backtracker, "WORD_BITS", 63)
@@ -360,39 +375,51 @@ def test_tables_match_the_generic_checks(monkeypatch):
             inst = sample_instance(Params(n=n, d=d, k=n, t=3, q=q), SeedSpec(96, q))
             assert word_count(inst) == 2
             tables = backtracker._tables(inst, *layout(inst))
-            assert canonical_tables(tables) == reference_checks(inst)
+            assert canonical_tables(tables, inst) == reference_checks(inst)
     # a full run of ranks above 2**63: both tuples set variables 0..62 to 1
     ones = (1,) * 63
     inst = one_constraint(tuple(range(63, -1, -1)), {(0,) + ones, (1,) + ones}, n=64, d=2)
     tables = backtracker._tables(inst, *layout(inst))
-    assert canonical_tables(tables) == reference_checks(inst)
-    assert [len(checks[0]) for checks in tables[62:]] == [1, 2]
+    assert canonical_tables(tables, inst) == reference_checks(inst)
+    # variable 63 alone is in word 1: its check is a word-0 part and values 0, 1
+    assert [(sorted(values), [w for w, _, _ in parts]) for ((values, parts),) in tables[62:]] == [
+        ([1], [0]), ([0, 1], [0])]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_block_splits_are_exact(block_rows, monkeypatch):
+    # each instance on one word and on 8-bit words, where d >= 3 and n >= 5
+    # put variables 4 and 5 in a second word and checks on them span both
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
     stream = SeedSpec(99, block_rows).stream("block-splits")
+    spanning = 0
     for trial in range(16):
         d = 2 + stream.randbelow(3)
         k = 2 + stream.randbelow(2)
-        n = k + stream.randbelow(6 - k)
+        n = k + stream.randbelow(7 - k)
         if trial % 2:
             q = d + stream.randbelow(d**k - d + 1)  # non-strict
         else:
             q = 1 + stream.randbelow(d - 1)
         t = stream.randbelow(2 * n + 1)
         inst = sample_instance(Params(n=n, d=d, k=k, t=t, q=q), SeedSpec(99, trial))
-        report = brute_force(inst)
-        expected = SearchStats(report.node_count, report.level_counts[-1],
-                               report.level_counts, report.solutions)
-        for order in (None, list(reversed(range(d)))):
-            assert solve_all(inst, collect=True, value_order=order) == expected
-            assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
-    stats = solve_all(chain(64, 2), collect=True)
-    assert stats.level_counts == tuple(range(1, 66))
-    assert stats.nodes == 1 + 2 * sum(range(1, 65))
-    assert stats.solutions == tuple(itertools.combinations_with_replacement(range(2), 64))
+        expected = oracle_stats(inst)
+        for word_bits in (63, 8):
+            monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+            word_of = layout(inst)[0]
+            spanning += sum(any(w < word_of[i] for w, _, _ in parts)
+                            for i, checks in enumerate(backtracker._tables(inst, *layout(inst)))
+                            for _, parts in checks)
+            for order in (None, list(reversed(range(d)))):
+                assert solve_all(inst, collect=True, value_order=order) == expected
+                assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
+    assert spanning
+    for word_bits in (63, 8):  # two words, and eight
+        monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+        stats = solve_all(chain(64, 2), collect=True)
+        assert stats.level_counts == tuple(range(1, 66))
+        assert stats.nodes == 1 + 2 * sum(range(1, 65))
+        assert stats.solutions == tuple(itertools.combinations_with_replacement(range(2), 64))
 
 
 def test_count_only_memory_is_bounded_by_the_block(monkeypatch):

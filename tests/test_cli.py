@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -222,3 +223,37 @@ def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "gbcsp solve: error: at least 210 solutions to collect, over the budget of 8\n"
+
+
+HUGE_T = 10**20
+HUGE_T_ERROR = (f"t={HUGE_T} needs {HUGE_T * (2 + 1) * 8} bytes of scope and rank arrays, "
+                "over the budget of 268435456")
+
+
+def traced_run(capsys, *argv):
+    """``run`` plus the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_generate_refuses_a_huge_t_before_drawing(capsys):
+    argv = ["generate", "--n", "6", "--d", "2", "--k", "2", "--q", "1", "--seed", "3"]
+    (code, out, err), peak = traced_run(capsys, *argv, "--t", str(HUGE_T))
+    assert (code, out) == (2, "")
+    assert err == f"gbcsp generate: error: {HUGE_T_ERROR}\n"
+    assert peak < 2**20
+
+
+def test_sweep_skips_a_huge_t(capsys):
+    argv = ["sweep", "--n", "6", "--d", "2", "--k", "2", "--q", "1", "--trials", "7",
+            "--seed", "3", "--measure", "nodes,uc"]
+    (code, out, err), peak = traced_run(capsys, *argv, "--t-grid", f"0,4,8,{HUGE_T}")
+    assert code == 0
+    assert err == f"skipping grid point t={HUGE_T}: {HUGE_T_ERROR}\n"
+    assert peak < 2**20
+    assert run(capsys, *argv, "--t-grid", "0,4,8") == (0, out, "")

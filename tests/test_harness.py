@@ -160,16 +160,22 @@ class TestSweep:
         ]
         assert rows == run_sweep(config)
 
-    @pytest.mark.parametrize("jobs, cpus, trials, workers", [
-        (100_000, 8, 40, 8), (100_000, None, 40, 1), (4, 8, 1, 2), (3, 8, 40, 3),
+    @pytest.mark.parametrize("jobs, cpus, trials, workers, size", [
+        pytest.param(*case, id="-".join(map(str, case[:4])))
+        for case in ((100_000, 8, 40, 8, 1), (100_000, None, 40, 1, 5), (4, 8, 1, 2, 1),
+                     (3, 8, 40, 3, 1), (64, 2, 40, 2, 2))
     ])
-    def test_workers_are_capped(self, pools, monkeypatch, jobs, cpus, trials, workers):
+    def test_workers_are_capped(self, pools, monkeypatch, jobs, cpus, trials, workers, size):
         # never more workers than CPUs or pieces (two points of one trial
-        # each make two pieces)
+        # each make two pieces), and pieces sized for the workers started
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        run_sweep(small_config(t_grid=(0, 4), trials=trials, jobs=jobs))
+        config = small_config(t_grid=(0, 4), trials=trials, jobs=jobs)
+        rows = run_sweep(config)
         (pool,) = pools
         assert pool.max_workers == workers
+        assert [count for _, count, _, _, _ in pool.pieces] == [
+            min(size, trials - start) for _ in (0, 4) for start in range(0, trials, size)]
+        assert rows == run_sweep(dataclasses.replace(config, jobs=1))
 
     def test_non_strict_point_reports_no_formulas(self):
         config = ExperimentConfig(
