@@ -24,14 +24,17 @@ most n * d * BLOCK_ROWS prefixes are live however wide the widest level is,
 and a count-only solve refuses no size.  Counts are Python ints and
 therefore exact at any size.
 
-Each prefix is W int64 words of b = ceil(log2 d) bits per variable.  A word
+Each prefix is W words of b = ceil(log2 d) bits per variable.  A word
 holds WORD_BITS // b whole fields, variables in order, its last variable at
 shift 0; as no field straddles two words, assigning a variable ORs one
 pre-shifted value into one word and a mask reads any field from one word.
 Word-major order is lexicographic order, and when n * b <= WORD_BITS the one
-word holds variable v at bits (n-1-v)*b.  A block of prefixes is a list of
-arrays, one per word begun so far.  Any d the instance arrays allow fits,
-since d**k <= 2**64 with k >= 2 gives b <= 32.
+word holds variable v at bits (n-1-v)*b.  Words are int32 when the widest
+word's fields take at most 31 bits, min(n, WORD_BITS // b) * b <= 31, and
+int64 otherwise, so the live prefixes take at most n * d * BLOCK_ROWS * W
+words of 4 or 8 bytes.  A block of prefixes is a list of arrays, one per
+word begun so far.  Any d the instance arrays allow fits, since d**k <= 2**64
+with k >= 2 gives b <= 32.
 
 Every check at depth i includes variable i's field, so each forbidden
 pattern splits into a value v of variable i and a parent pattern that rules
@@ -67,13 +70,15 @@ import numpy as np
 from .model import Instance, Params, rank_tuples
 
 # Prefixes the depth-first driver extends in one kernel call.  At most
-# n * d * BLOCK_ROWS prefixes are live; smaller blocks cost more calls,
-# larger ones more memory and cache misses.
-BLOCK_ROWS = 2**14
-# Most solutions collect=True will hold (512 MiB per int64 word of a prefix).
+# n * d * BLOCK_ROWS prefixes of W words of 4 or 8 bytes are live (a block
+# of one int32 word is 128 KiB); smaller blocks cost more calls, larger ones
+# more memory and cache misses.
+BLOCK_ROWS = 2**15
+# Most solutions collect=True will hold (256 MiB per int32 word of a prefix,
+# 512 MiB per int64 word).
 MAX_COLLECTED_SOLUTIONS = 2**26
-# Bits of fields per prefix word: words are signed int64.  Tests narrow it
-# to reach several words at sizes the brute-force oracle can check.
+# Bits of fields per prefix word, at most the 63 of a signed int64.  Tests
+# narrow it to reach several words at sizes the brute-force oracle can check.
 WORD_BITS = 63
 
 
@@ -212,6 +217,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
     children each parent row rules out, value v in row ``slot[v]``.  The
     rest are built value-major, each of ``values[i]`` ORed into variable
     i's word ``word[i]``; at the last depth a count-only walk just counts them.
+    Every word array has the dtype of ``values``.
 
     Returns (nodes, level_counts, blocks of solutions); the blocks are
     empty unless ``collect``.
@@ -221,7 +227,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
     # tuple is forbidden.
     root = 0 if params.t and params.q == d**params.k else 1
     level_counts = [root] + [0] * n
-    stack = [(0, [np.zeros(1, dtype=np.int64)], 0)] if root else []
+    stack = [(0, [np.zeros(1, dtype=values.dtype)], 0)] if root else []
     found: list[list[np.ndarray]] = []
     collected = 0
     while stack:
@@ -249,7 +255,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
             continue
         w = word[depth]
         # a variable that opens a new word is ORed into a zero word
-        own = parent[w] if w < len(parent) else np.zeros(size, dtype=np.int64)
+        own = parent[w] if w < len(parent) else np.zeros(size, dtype=values.dtype)
         nxt = [np.broadcast_to(x, (d, size)) for x in parent[:w]] + [own | values[depth][:, None]]
         if checks:
             keep = ~killed
@@ -287,8 +293,10 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     if sorted(order) != list(range(d)):
         raise ValueError("value_order must be a permutation of range(d)")
     word_of, shift_of = _layout(n, d, WORD_BITS)
+    b = (d - 1).bit_length()
+    dtype = np.int32 if min(n, WORD_BITS // b) * b <= 31 else np.int64
     # values[i]: each value of variable i, in visit order, in its field
-    values = np.asarray(order, dtype=np.int64) << shift_of[:, None]
+    values = (np.asarray(order) << shift_of[:, None]).astype(dtype)
     slot = np.argsort(order).tolist()
     tables = _tables(inst, word_of, shift_of)
     word = word_of.tolist()
@@ -296,9 +304,9 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     solutions = None
     if collect:
         # Word-major order is lexicographic order: sort on word 0 first.
-        words = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, np.int64)] * (word[-1] + 1)
+        words = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, dtype)] * (word[-1] + 1)
         codes = np.stack(words, axis=1)[np.lexsort(words[::-1])]
-        fields = (codes[:, word_of] >> shift_of) & ((1 << (d - 1).bit_length()) - 1)
+        fields = (codes[:, word_of] >> shift_of) & ((1 << b) - 1)
         solutions = tuple(tuple(row) for row in fields.tolist())
     return SearchStats(
         nodes=nodes,

@@ -15,7 +15,7 @@ from . import analytics
 from .backtracker import solve_all
 from .generator import sample_instance
 from .harness import ExperimentConfig, emit_csv, emit_plotdata, format_csv, run_sweep
-from .model import Params, dumps_instance, loads_instance
+from .model import Params, dumps_instance, instance_from_doc
 from .oracle import verification_report
 from .rng import SeedSpec
 from .uc import run_uc, uc_success_rate
@@ -36,9 +36,17 @@ def _params(args, t=None) -> Params:
     return Params(n=args.n, d=args.d, k=args.k, t=args.t if t is None else t, q=args.q)
 
 
-def _read_instance(path: str):
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        try:
+            return json.load(fh)
+        # not UTF-8, not JSON, or nested past the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _read_instance(path: str):
+    return instance_from_doc(_read_json(path))
 
 
 def _logline(name: str, value: float) -> str:
@@ -110,13 +118,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _read_json(args.config) if args.config else {}
     flags = {name: getattr(args, name) for name in ("n", "d", "k", "q", "trials", "out", "jobs")}
     if args.t_grid is not None:
-        flags["t_grid"] = [int(x) for x in args.t_grid.split(",") if x != ""]
+        try:
+            flags["t_grid"] = [int(x) for x in args.t_grid.split(",") if x != ""]
+        except ValueError:
+            raise ValueError(f"--t-grid must be comma-separated integers, got {args.t_grid!r}") from None
     flags["master_seed"] = args.seed
     if args.measure is not None:
         flags["measures"] = [m for m in args.measure.split(",") if m != ""]

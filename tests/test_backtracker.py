@@ -3,12 +3,13 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gbcsp import backtracker
 from gbcsp.backtracker import SearchStats, solve_all
 from gbcsp.generator import sample_instance
-from gbcsp.model import ConstraintSpec, Instance, Params
+from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent
 from gbcsp.oracle import brute_force, random_strict_params
 from gbcsp.rng import SeedSpec
 
@@ -41,6 +42,21 @@ def layout(inst):
 
 def word_count(inst):
     return int(layout(inst)[0][-1]) + 1
+
+
+def spy_dtypes(monkeypatch):
+    """A list that collects the dtype of the value table and of every
+    collected word array of each solve from now on."""
+    seen = []
+    depth_first = backtracker._depth_first
+
+    def spy(params, word, values, slot, tables, collect):
+        nodes, counts, found = depth_first(params, word, values, slot, tables, collect)
+        seen.extend([values.dtype] + [x.dtype for block in found for x in block])
+        return nodes, counts, found
+
+    monkeypatch.setattr(backtracker, "_depth_first", spy)
+    return seen
 
 
 def oracle_stats(inst):
@@ -239,6 +255,71 @@ def test_packed_path_up_to_63_bits(n, d, monkeypatch):
         assert solve_all(inst, collect=True, value_order=order) == expected
 
 
+@pytest.mark.parametrize("n, d, dtype", [
+    (31, 2, np.int32),  # the top field at bit 30
+    (15, 3, np.int32),  # 30 bits
+    (32, 2, np.int64),
+    (16, 3, np.int64),
+])
+def test_word_dtype_boundary(n, d, dtype, monkeypatch):
+    # one word either side of 31 bits of fields
+    inst = chain(n, d)
+    assert word_count(inst) == 1
+    dtypes = spy_dtypes(monkeypatch)
+    for order in (None, list(reversed(range(d)))):
+        stats = solve_all(inst, collect=True, value_order=order)
+        assert stats.level_counts == tuple(math.comb(i + d - 1, d - 1) for i in range(n + 1))
+        assert stats.solutions == tuple(itertools.combinations_with_replacement(range(d), n))
+    assert set(dtypes) == {np.dtype(dtype)}
+
+
+# nodes and level counts of sample_instance(params, SeedSpec(5, 0)) with n * b
+# from 29 to 33 bits, strict and not, as the all-int64 solver computed them
+BOUNDARY_PINS = [
+    (Params(n=29, d=2, k=3, t=100, q=1), np.int32, 43731,
+     (1, 2, 4, 8, 16, 32, 52, 104, 208, 416, 616, 856, 944, 796, 1259, 2287, 2537, 1527, 1636,
+      1280, 1048, 940, 1046, 1391, 1244, 402, 403, 568, 242, 198)),
+    (Params(n=30, d=2, k=3, t=45, q=2), np.int32, 509935,
+     (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 768, 1024, 2048, 3072, 6144, 8064, 13440, 15360,
+      23040, 36864, 33504, 16624, 28008, 38288, 12888, 2292, 4320, 4800, 1362, 2034, 156)),
+    (Params(n=31, d=2, k=3, t=62, q=2), np.int32, 90401,
+     (1, 2, 4, 8, 16, 24, 48, 96, 144, 216, 312, 528, 704, 896, 1088, 1552, 3104, 3104, 4656,
+      5064, 4976, 6336, 1490, 2146, 1846, 1858, 854, 1168, 1436, 1334, 189, 67)),
+    (Params(n=32, d=2, k=3, t=128, q=1), np.int64, 328359,
+     (1, 2, 4, 8, 16, 32, 64, 112, 224, 384, 688, 1376, 2408, 4816, 8568, 10192, 15628, 17088,
+      16174, 17002, 15139, 7760, 6097, 9833, 4732, 4765, 6941, 5794, 4062, 1908, 1992, 369, 192)),
+    (Params(n=33, d=2, k=3, t=150, q=1), np.int64, 606411,
+     (1, 2, 4, 8, 16, 28, 56, 112, 200, 400, 624, 1248, 2112, 3936, 5832, 5028, 10056, 17020,
+      23580, 25502, 26868, 30170, 29606, 26812, 37965, 28378, 11887, 6961, 3302, 3746, 842, 796,
+      107, 36)),
+    (Params(n=15, d=3, k=2, t=37, q=2), np.int32, 16252,
+     (1, 3, 7, 21, 63, 171, 291, 489, 171, 332, 593, 853, 1050, 619, 753, 257)),
+    (Params(n=16, d=3, k=2, t=24, q=4), np.int64, 5401,
+     (1, 3, 9, 27, 18, 30, 90, 162, 288, 210, 420, 156, 84, 88, 124, 90, 45)),
+    (Params(n=10, d=5, k=2, t=70, q=3), np.int32, 26471,
+     (1, 5, 25, 110, 379, 567, 726, 864, 1079, 1538, 491)),
+    (Params(n=11, d=5, k=2, t=40, q=7), np.int64, 4171,
+     (1, 5, 18, 39, 62, 153, 96, 100, 160, 88, 112, 109)),
+]
+
+
+@pytest.mark.parametrize("params, dtype, nodes, levels", BOUNDARY_PINS)
+def test_boundary_solves_match_pinned_counts(params, dtype, nodes, levels, monkeypatch):
+    # d**n is past the brute-force oracle here: the counts are pinned, and
+    # each collected solution is checked with the oracle's predicate
+    inst = sample_instance(params, SeedSpec(5, 0))
+    dtypes = spy_dtypes(monkeypatch)
+    solutions = set()
+    for order in (None, list(reversed(range(params.d)))):
+        stats = solve_all(inst, collect=True, value_order=order)
+        assert (stats.nodes, stats.level_counts) == (nodes, levels)
+        assert list(stats.solutions) == sorted(set(stats.solutions))
+        solutions.add(stats.solutions)
+    (collected,) = solutions
+    assert all(is_consistent(inst, s) for s in collected)
+    assert set(dtypes) == {np.dtype(dtype)}
+
+
 @pytest.mark.parametrize("n, d", [(64, 2), (32, 3)])
 def test_two_words_beyond_63_bits(n, d):
     stats = solve_all(chain(n, d), collect=True)
@@ -422,24 +503,38 @@ def test_block_splits_are_exact(block_rows, monkeypatch):
         assert stats.solutions == tuple(itertools.combinations_with_replacement(range(2), 64))
 
 
+def tied(free, tied):
+    """Variables 1..``tied`` must each equal variable 0, and the ``free`` - 1
+    variables after them are unconstrained."""
+    equal = ConstraintSpec((0, 1), frozenset({(0, 1), (1, 0)}))
+    constraints = tuple(replace(equal, scope=(0, v)) for v in range(1, tied + 1))
+    return Instance(Params(n=free + tied, d=2, k=2, t=tied, q=2), constraints)
+
+
 def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
-    # n=20, d=2 has a widest level of 2**20 prefixes (8 MiB as int64 codes);
-    # the walk may hold at most n * d * BLOCK_ROWS prefixes of W words of 8
-    # bytes, plus a margin for the temporaries of one extension and Python
-    # objects.  10-bit words split the prefixes into W = 2 words.
+    # Each instance has a level of 2**20 prefixes (4 or 8 MiB a word); the
+    # walk may hold at most n * d * BLOCK_ROWS prefixes of W words of 4
+    # bytes (int32) or 8 (int64), plus a margin for the temporaries of one
+    # extension and Python objects.  10-bit words split the prefixes into
+    # W = 2 words; 33 bits of fields take int64.
     block_rows = 2**8
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
-    n, d = 20, 2
-    inst = unconstrained(n, d)
-    for word_bits, words in ((63, 1), (10, 2)):
+    dtypes = spy_dtypes(monkeypatch)
+    for inst, word_bits, words, itemsize, levels in (
+        (unconstrained(20, 2), 63, 1, 4, tuple(2**i for i in range(21))),
+        (unconstrained(20, 2), 10, 2, 4, tuple(2**i for i in range(21))),
+        (tied(21, 12), 63, 1, 8, (1,) + tuple(2 ** max(1, i - 12) for i in range(1, 34))),
+    ):
         monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+        n, d = inst.params.n, inst.params.d
         assert word_count(inst) == words
-        bound = n * d * block_rows * 8 * words + 64 * 2**10
+        bound = n * d * block_rows * itemsize * words + 64 * 2**10
         tracemalloc.start()
         try:
             stats = solve_all(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stats.level_counts == tuple(2**i for i in range(n + 1))
+        assert stats.level_counts == levels
+        assert dtypes.pop() == np.dtype(np.int32 if itemsize == 4 else np.int64)
         assert peak < bound

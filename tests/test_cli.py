@@ -257,3 +257,37 @@ def test_sweep_skips_a_huge_t(capsys):
     assert err == f"skipping grid point t={HUGE_T}: {HUGE_T_ERROR}\n"
     assert peak < 2**20
     assert run(capsys, *argv, "--t-grid", "0,4,8") == (0, out, "")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", []),
+    ("uc", ["--seed", "5"]),
+])
+@pytest.mark.parametrize("content, reason", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 10**5 + b"]" * 10**5,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+], ids=["text", "binary", "deep"])
+def test_invalid_instance_json_names_the_file(tmp_path, capsys, command, extra, content, reason):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--in", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"gbcsp {command}: error: {path} is not valid JSON: {reason}\n"
+
+
+def test_invalid_sweep_config_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text('{"n": 4,', encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gbcsp sweep: error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_bad_t_grid_names_the_flag(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "4", "--d", "2", "--k", "2", "--q", "1",
+                         "--t-grid", "1,a", "--trials", "3", "--seed", "2")
+    assert (code, out) == (2, "")
+    assert err == "gbcsp sweep: error: --t-grid must be comma-separated integers, got '1,a'\n"
