@@ -49,7 +49,7 @@ A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
 when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
 completions of its values on v_0..v_j are forbidden.  A strict instance
 (q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` builds
-every check from the scope and rank arrays in one numpy pass.
+every check from the scope and tuple arrays in one numpy pass.
 ``_check_at_depth``, which no solve calls, is the reference the tests hold
 ``_tables`` to (``model.is_violated``, the oracle's predicate, shares code
 with neither).  No check tests the empty prefix, which is inconsistent only
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Params, rank_tuples
+from .model import Instance, Params
 
 # Prefixes the depth-first driver extends in one kernel call.  At most
 # n * d * BLOCK_ROWS prefixes of W words of 4 or 8 bytes are live (a block
@@ -121,8 +121,7 @@ def _checks_at(inst: Instance) -> list[list]:
     """``_check_at_depth`` checks grouped by the depth of each scope variable."""
     params = inst.params
     checks_at: list[list] = [[] for _ in range(params.n)]
-    tuples = rank_tuples(inst.ranks, params.d, params.k).tolist()
-    for scope, rows in zip(inst.scopes.tolist(), tuples):
+    for scope, rows in zip(inst.scopes.tolist(), inst.incompatible.tolist()):
         for v in scope:
             chk = _check_at_depth(scope, rows, params.d, v)
             if chk is not None:
@@ -145,14 +144,13 @@ def _layout(n: int, d: int, word_bits: int):
 
 def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[list]:
     """Checks grouped by depth, each (values, parts) with (word, mask,
-    patterns) parts over the parent's words, built from the scope and rank
+    patterns) parts over the parent's words, built from the scope and tuple
     arrays in one numpy pass."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
-    scopes = inst.scopes
+    scopes, digits = inst.scopes, inst.incompatible
     ordered = np.sort(scopes, axis=1)
     word, shift = word_of[ordered], shift_of[scopes]
-    digits = rank_tuples(inst.ranks, d, k)
     # fields[c, p]: constraint c's forbidden tuples at scope position p, each
     # in its field, and last the field's mask
     field = (1 << (d - 1).bit_length()) - 1

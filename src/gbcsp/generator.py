@@ -24,11 +24,12 @@ its words from one ``Stream.next_block``; a rejected word is dropped,
 which moves every later word one offset on, and as many words as were
 dropped are drawn after the block.  Only words above the lowest limit can
 be rejected, so only those are walked in order.  Fisher-Yates then runs as
-k vector steps and Floyd as q vector steps over all rows of the block
-(instances are held as arrays; see ``model.Instance``).  The result is the
-scalar draw exactly.  Blocks hold at most ``BLOCK_ROWS`` rows.  The arrays
-need d**k <= 2**64 (and n <= 2**63); larger parameters are refused, and so
-is a t whose arrays would pass ``MAX_INSTANCE_BYTES``.
+k vector steps and Floyd as q vector steps over all rows of the block, and
+each row's sorted ranks are decoded once into the forbidden tuples of
+``model.Instance``.  The result is the scalar draw exactly.  Blocks hold at
+most ``BLOCK_ROWS`` rows.  The uint64 ranks need d**k <= 2**64 (the int64
+scopes n <= 2**63); larger parameters are refused, and so is a t whose
+arrays would pass ``MAX_INSTANCE_BYTES``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .rng import SeedSpec, Stream
 
 # Rows per word block, which bounds the sampler's working memory.
 BLOCK_ROWS = 1 << 16
-# Most bytes of scope and rank arrays (8 per entry, k + q entries per
+# Most bytes of scope and tuple arrays (8 per entry, k * (q + 1) entries per
 # constraint) one instance may take; sample_instance refuses more up front.
 MAX_INSTANCE_BYTES = 1 << 28
 
@@ -135,7 +136,7 @@ def _accepted_words(plan: _Plan, count: int, stream: Stream) -> np.ndarray:
 
 
 def _draw(params: Params, plan: _Plan, rows: int, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``rows`` constraints of ``stream`` as (scopes, ranks)."""
+    """The next ``rows`` constraints of ``stream`` as (scopes, incompatible)."""
     d, k, q = params.d, params.k, params.q
     u = _accepted_words(plan, rows * plan.width, stream).reshape(rows, plan.width)
     vals = u % plan.mods
@@ -170,16 +171,19 @@ def _draw(params: Params, plan: _Plan, rows: int, stream: Stream) -> tuple[np.nd
         pick = ranks[:, s]
         hit = (ranks[:, :s] == pick[:, None]).any(axis=1)
         ranks[:, s] = np.where(hit, np.uint64(d**k - q + s), pick)
+    # ascending ranks decode, most significant digit first, to tuples in
+    # lexicographic order
     ranks.sort(axis=1)
-    return scopes, ranks
+    powers = np.array([d**e for e in range(k - 1, -1, -1)], dtype=np.uint64)
+    return scopes, ranks[:, :, None] // powers % np.uint64(d)
 
 
 def constraint_blocks(params: Params, count: int, stream: Stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The next ``count`` constraints of ``stream`` as (scopes, ranks) blocks
-    of at most ``BLOCK_ROWS`` rows, in the layout of ``model.Instance``: the
-    same constraints, from the same words, as ``count`` calls of
-    ``sample_constraint``, after which the stream stands where those calls
-    would leave it."""
+    """The next ``count`` constraints of ``stream`` as (scopes, incompatible)
+    blocks of at most ``BLOCK_ROWS`` rows, in the layout of
+    ``model.Instance``: the same constraints, from the same words, as
+    ``count`` calls of ``sample_constraint``, after which the stream stands
+    where those calls would leave it."""
     check_array_range(params)
     plan = _plan(params.n, params.d, params.k, params.q)
     for start in range(0, count, BLOCK_ROWS):
@@ -187,10 +191,10 @@ def constraint_blocks(params: Params, count: int, stream: Stream) -> Iterator[tu
 
 
 def check_instance_size(params: Params) -> None:
-    """Refuse a t whose scope and rank arrays pass ``MAX_INSTANCE_BYTES``."""
-    size = params.t * (params.k + params.q) * 8
+    """Refuse a t whose scope and tuple arrays pass ``MAX_INSTANCE_BYTES``."""
+    size = params.t * params.k * (params.q + 1) * 8
     if size > MAX_INSTANCE_BYTES:
-        raise ValueError(f"t={params.t} needs {size} bytes of scope and rank arrays, "
+        raise ValueError(f"t={params.t} needs {size} bytes of scope and tuple arrays, "
                          f"over the budget of {MAX_INSTANCE_BYTES}")
 
 
@@ -199,8 +203,8 @@ def sample_instance(params: Params, seed: SeedSpec, label: str = "instance") -> 
     check_instance_size(params)
     blocks = list(constraint_blocks(params, params.t, seed.stream(label)))
     if len(blocks) == 1:
-        scopes, ranks = blocks[0]
+        scopes, incompatible = blocks[0]
     else:  # t = 0, or more than BLOCK_ROWS rows
         scopes = np.concatenate([np.empty((0, params.k), np.int64)] + [s for s, _ in blocks])
-        ranks = np.concatenate([np.empty((0, params.q), np.uint64)] + [r for _, r in blocks])
-    return Instance._from_arrays(params, scopes, ranks)
+        incompatible = np.concatenate([np.empty((0, params.q, params.k), np.uint64)] + [x for _, x in blocks])
+    return Instance._from_arrays(params, scopes, incompatible)

@@ -9,10 +9,11 @@ one unassigned variable can always still be satisfied; all closed-form
 analytics in this package require it, while solving does not.
 
 An ``Instance`` holds its constraints as two arrays, scopes and sorted
-forbidden-tuple ranks (layout and the d**k <= 2**64 bound: see
-``Instance``).  The solver and the unit-constraint heuristic read the
+forbidden tuples (layout and the d**k <= 2**64 bound: see ``Instance``).
+The solver, the unit-constraint heuristic and ``violated_rows`` read the
 arrays; the ``ConstraintSpec`` tuple that the oracle and code reading
-single constraints use is built from them on first use.
+single constraints use is built from them on first use.  Only the sampler
+handles tuple ranks.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class Params:
             raise ValueError(f"negative constraint count: t={self.t}")
         if self.q < 1:
             raise ValueError(f"zero tightness: q={self.q} < 1")
-        if self.q > self.d**self.k:
-            raise ValueError(f"empty relation: q={self.q} > d^k={self.d ** self.k}")
+        # q < 2**k <= d**k needs no power computed
+        if self.q.bit_length() > self.k and self.q > self.d**self.k:
+            raise ValueError(f"empty relation: q={self.q} > d^k={_power(self.d, self.k)}")
 
     @property
     def p(self) -> float:
@@ -69,6 +71,11 @@ class Params:
     def strict(self) -> bool:
         """True iff q < d, i.e. p < 1/d**(k-1)."""
         return self.q < self.d
+
+
+def _power(d: int, k: int) -> str:
+    """d**k for a message, in digits only when it has at most about 300."""
+    return str(d**k) if k * d.bit_length() <= 1024 else f"{d}^{k}"
 
 
 def _entry(value) -> int:
@@ -113,28 +120,13 @@ class ConstraintSpec:
 
 
 def check_array_range(params: Params) -> None:
-    """Refuse parameters whose instances the int64 scope and uint64 rank
-    arrays cannot hold."""
-    if params.d**params.k > 2**64:
-        raise ValueError(f"d^k={params.d ** params.k} > 2^64: tuple ranks do not fit in 64 bits")
+    """Refuse parameters whose instances the int64 scope arrays, or whose
+    draws the sampler's uint64 tuple ranks, cannot hold."""
+    # d >= 2, so k > 64 alone means d**k > 2**64
+    if params.k > 64 or params.d**params.k > 2**64:
+        raise ValueError(f"d^k={_power(params.d, params.k)} > 2^64: tuple ranks do not fit in 64 bits")
     if params.n > 2**63:
         raise ValueError(f"n={params.n} > 2^63: variables do not fit in 63 bits")
-
-
-def _powers(d: int, k: int) -> np.ndarray:
-    return np.array([d**e for e in range(k - 1, -1, -1)], dtype=np.uint64)
-
-
-def tuple_ranks(values: np.ndarray, d: int) -> np.ndarray:
-    """Big-endian base-d ranks (uint64) of the value tuples along the last
-    axis; exact whenever d**k <= 2**64, as no partial sum exceeds the rank."""
-    return values.astype(np.uint64) @ _powers(d, values.shape[-1])
-
-
-def rank_tuples(ranks: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Inverse of ``tuple_ranks``: the k base-d digits (uint64) of each rank,
-    most significant first, along a new last axis."""
-    return ranks[..., None] // _powers(d, k) % np.uint64(d)
 
 
 def _first_outside(values: np.ndarray, bound: int, what: str) -> None:
@@ -147,17 +139,16 @@ class Instance:
     """Params plus t constraints (duplicates across the list are legal).
 
     The canonical form is two read-only arrays.  ``scopes`` is t x k int64,
-    row i the scope of constraint i in draw order.  ``ranks`` is t x q
-    uint64, row i the ranks of constraint i's forbidden tuples in ascending
-    order; a tuple's rank is its big-endian base-d value (``tuple_ranks``),
-    so rank order is lexicographic tuple order.  The arrays bound the
-    parameters: d**k <= 2**64 and n <= 2**63 (``check_array_range``).
+    row i the scope of constraint i in draw order.  ``incompatible`` is
+    t x q x k uint64, row i constraint i's forbidden tuples in lexicographic
+    order, each aligned with the scope.  The parameters are bounded by
+    d**k <= 2**64 and n <= 2**63 (``check_array_range``).
     ``constraints``, the ConstraintSpec tuple, is built from the arrays on
     first use and cached.  Equal instances have equal params and the same
     constraint list.
     """
 
-    __slots__ = ("params", "scopes", "ranks", "_constraints")
+    __slots__ = ("params", "scopes", "incompatible", "_constraints")
 
     def __init__(self, params: Params, constraints):
         constraints = tuple(constraints)
@@ -177,26 +168,26 @@ class Instance:
         values = np.array([sorted(c.incompatible) for c in constraints]).reshape(t, q, k)
         _first_outside(scopes, params.n, "scope variable")
         _first_outside(values, params.d, "tuple value")
-        self._fill(params, scopes.astype(np.int64), tuple_ranks(values, params.d), constraints)
+        self._fill(params, scopes.astype(np.int64), values.astype(np.uint64), constraints)
 
     @classmethod
-    def _from_arrays(cls, params: Params, scopes: np.ndarray, ranks: np.ndarray) -> "Instance":
+    def _from_arrays(cls, params: Params, scopes: np.ndarray, incompatible: np.ndarray) -> "Instance":
         """An instance around arrays already in canonical form (not re-checked)."""
         inst = cls.__new__(cls)
-        inst._fill(params, scopes, ranks, None)
+        inst._fill(params, scopes, incompatible, None)
         return inst
 
-    def _fill(self, params, scopes, ranks, constraints) -> None:
+    def _fill(self, params, scopes, incompatible, constraints) -> None:
         scopes.flags.writeable = False
-        ranks.flags.writeable = False
-        self.params, self.scopes, self.ranks = params, scopes, ranks
+        incompatible.flags.writeable = False
+        self.params, self.scopes, self.incompatible = params, scopes, incompatible
         self._constraints = constraints
 
     @property
     def constraints(self) -> tuple[ConstraintSpec, ...]:
         if self._constraints is None:
-            tuples = rank_tuples(self.ranks, self.params.d, self.params.k).tolist()
-            self._constraints = tuple(map(ConstraintSpec._unchecked, self.scopes.tolist(), tuples))
+            self._constraints = tuple(map(ConstraintSpec._unchecked, self.scopes.tolist(),
+                                          self.incompatible.tolist()))
         return self._constraints
 
     def __eq__(self, other):
@@ -205,11 +196,11 @@ class Instance:
         return (
             self.params == other.params
             and np.array_equal(self.scopes, other.scopes)
-            and np.array_equal(self.ranks, other.ranks)
+            and np.array_equal(self.incompatible, other.incompatible)
         )
 
     def __hash__(self):
-        return hash((self.params, self.scopes.tobytes(), self.ranks.tobytes()))
+        return hash((self.params, self.scopes.tobytes(), self.incompatible.tobytes()))
 
     def __repr__(self):
         return f"Instance(params={self.params!r}, constraints={self.constraints!r})"
@@ -236,6 +227,22 @@ def is_violated(constraint: ConstraintSpec, values: Sequence[int], d: int) -> bo
     return matching == d**free
 
 
+def violated_rows(scopes: np.ndarray, incompatible: np.ndarray, prefix, n: int, d: int) -> np.ndarray:
+    """``is_violated`` for every row of (scopes, incompatible), arrays in the
+    layout of ``Instance``, at once: a row is violated iff its forbidden
+    tuples agreeing with ``prefix`` (the values of variables
+    0..len(prefix)-1) cover all d**f completions of its f free variables."""
+    k = scopes.shape[1]
+    values = np.zeros(n, dtype=np.uint64)
+    values[: len(prefix)] = prefix
+    fixed = scopes < len(prefix)
+    agree = (incompatible == values[scopes][:, None, :]) | ~fixed[:, None, :]
+    matching = agree.all(axis=2).sum(axis=1)
+    # d**f for f free variables; a count above q can never be matched
+    cover = np.array([d**f if d**f <= incompatible.shape[1] else -1 for f in range(k + 1)])
+    return matching == cover[k - fixed.sum(axis=1)]
+
+
 def is_consistent(instance: Instance, values: Sequence[int]) -> bool:
     """True iff no constraint of the instance is violated by the assignment
     of variables 0..len(values)-1."""
@@ -257,15 +264,13 @@ def is_consistent(instance: Instance, values: Sequence[int]) -> bool:
 
 def instance_to_doc(instance: Instance) -> dict:
     params = instance.params
-    # ascending ranks are the lexicographically sorted tuples
-    tuples = rank_tuples(instance.ranks, params.d, params.k).tolist()
     return {
         "n": params.n,
         "d": params.d,
         "k": params.k,
         "constraints": [
             {"scope": scope, "incompatible": rows}
-            for scope, rows in zip(instance.scopes.tolist(), tuples)
+            for scope, rows in zip(instance.scopes.tolist(), instance.incompatible.tolist())
         ],
     }
 
@@ -295,7 +300,8 @@ def instance_from_doc(doc: dict) -> Instance:
     """Rebuild an instance from its canonical document.
 
     Anything but the exact schema (missing or extra keys, non-int or bool
-    numbers, non-list arrays) raises ValueError.
+    numbers, non-list arrays) and a repeated forbidden tuple raise
+    ValueError.
     """
     n, d, k, raw = _doc_fields(doc, ("n", "d", "k", "constraints"), "instance document")
     n, d, k = require_int(n, "n"), require_int(d, "d"), require_int(k, "k")
@@ -308,6 +314,9 @@ def instance_from_doc(doc: dict) -> Instance:
             tuple(require_int(a, f"{what} tuple entry") for a in _doc_list(tup, what))
             for tup in _doc_list(incompatible, what)
         ]
+        if len(set(tuples)) < len(tuples):
+            repeated = next(tup for j, tup in enumerate(tuples) if tup in tuples[:j])
+            raise ValueError(f"{what} repeats the forbidden tuple {list(repeated)}")
         entries.append((scope, tuples))
     sizes = {len(tuples) for _, tuples in entries}
     if len(sizes) > 1:

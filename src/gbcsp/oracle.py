@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .analytics import extend_probability
-from .model import Instance, Params, is_consistent, rank_tuples
+from .model import Instance, Params, is_consistent, violated_rows
 from .rng import SeedSpec
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -78,22 +76,6 @@ def extend_probability_binomial(n: int, k: int, p: Fraction, i: int) -> Fraction
     return 1 - Fraction(p) * Fraction(math.comb(i, k), math.comb(n, k))
 
 
-def _violated_rows(scopes: np.ndarray, ranks: np.ndarray, prefix, n: int, d: int) -> np.ndarray:
-    """``is_violated`` for every row of (scopes, ranks) at once: a row is
-    violated iff its forbidden tuples agreeing with ``prefix`` (the values of
-    variables 0..len(prefix)-1) cover all d**f completions of its f free
-    variables."""
-    k = scopes.shape[1]
-    values = np.zeros(n, dtype=np.uint64)
-    values[: len(prefix)] = prefix
-    fixed = scopes < len(prefix)
-    agree = (rank_tuples(ranks, d, k) == values[scopes][:, None, :]) | ~fixed[:, None, :]
-    matching = agree.all(axis=2).sum(axis=1)
-    # d**f for f free variables; a count above q can never be matched
-    cover = np.array([d**f if d**f <= ranks.shape[1] else -1 for f in range(k + 1)])
-    return matching == cover[k - fixed.sum(axis=1)]
-
-
 def empirical_extend_probability(
     n: int,
     d: int,
@@ -123,8 +105,8 @@ def empirical_extend_probability(
         raise ValueError("prefix must assign exactly i in-domain values")
     stream = SeedSpec(master_seed, 0).stream("empirical-extend")
     survived = 0
-    for scopes, ranks in constraint_blocks(params, samples, stream):
-        survived += len(scopes) - int(_violated_rows(scopes, ranks, prefix, n, d).sum())
+    for scopes, incompatible in constraint_blocks(params, samples, stream):
+        survived += len(scopes) - int(violated_rows(scopes, incompatible, prefix, n, d).sum())
     return survived / samples
 
 
@@ -161,7 +143,10 @@ def verification_report(
     """Cross-check the solver against the oracle on small seeded instances.
 
     Returns (check name, passed, detail) triples; backs the `verify` CLI.
+    Fewer than one instance raises ValueError, as it would check nothing.
     """
+    if instances < 1:
+        raise ValueError(f"need at least one instance to verify, got {instances}")
     from .backtracker import solve_all
     from .generator import sample_instance
 

@@ -14,9 +14,9 @@ cannot decide.  If every constraint gets removed, leftover variables take
 uniformly random values so the result is a concrete assignment, which is
 re-verified against the original instance before being returned (the
 heuristic is sound but incomplete: it can answer "unknown" on satisfiable
-instances, never the reverse).  The re-check reads the instance arrays: the
-assignment's rank on each scope must not be among that row's forbidden
-ranks.
+instances, never the reverse).  The re-check is ``model.violated_rows``
+on the full assignment: its values on no scope may be one of that row's
+forbidden tuples.
 
 State.  Everything is a flat list of ints built from the instance arrays by
 a few numpy calls, so a run allocates no object per constraint:
@@ -26,7 +26,7 @@ a few numpy calls, so a run allocates no object per constraint:
   entries are ``var_entries[var_start[v]:var_start[v + 1]]`` (a stable
   argsort of the flattened scopes).
 - ``digits[(cid * k + pos) * q + j]`` is the value at scope position pos of
-  constraint cid's j-th forbidden tuple (rank order).
+  constraint cid's j-th forbidden tuple (lexicographic order).
 - ``masks[cid]`` has bit j set while forbidden tuple j survives; 0 means the
   constraint is satisfied and gone.  ``free[cid]`` counts its unassigned
   variables, its arity; ``units`` holds the ids with arity 1, ascending.
@@ -64,7 +64,7 @@ import numpy as np
 
 # is_consistent is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps uc.is_consistent.
-from .model import Instance, is_consistent, rank_tuples, tuple_ranks  # noqa: F401
+from .model import Instance, is_consistent, violated_rows  # noqa: F401
 from .rng import SeedSpec
 
 SOLUTION_FOUND = "solution_found"
@@ -105,7 +105,7 @@ class UCState:
         # sort in the narrowest dtype holding 0..n-1
         order = np.argsort(flat.astype(np.min_scalar_type(n - 1)), kind="stable")
         var_start = np.searchsorted(flat[order], np.arange(n + 1))
-        digits = rank_tuples(inst.ranks, params.d, k).transpose(0, 2, 1)
+        digits = inst.incompatible.transpose(0, 2, 1)
         return cls(
             n=n, k=k, q=q,
             scopes=flat.tolist(),
@@ -172,15 +172,6 @@ def reduce_after_assignment(state: UCState, var: int, value: int) -> UCState:
     return state
 
 
-def satisfies(inst: Instance, assignment) -> bool:
-    """True iff a full assignment violates no constraint: its rank on each
-    scope is not among that row's forbidden ranks (``model.is_consistent``
-    on the instance arrays)."""
-    values = np.asarray(assignment, dtype=np.uint64)[inst.scopes]
-    ranks = tuple_ranks(values, inst.params.d)
-    return not (inst.ranks == ranks[:, None]).any()
-
-
 @dataclass(frozen=True)
 class UCOutcome:
     tag: str
@@ -218,7 +209,7 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
     for var in state.unset:
         state.assigned[var] = rng.randbelow(d)
     assignment = tuple(state.assigned[i] for i in range(params.n))
-    if not satisfies(inst, assignment):
+    if violated_rows(inst.scopes, inst.incompatible, assignment, params.n, d).any():
         raise RuntimeError("unit-constraint run produced an unsatisfying assignment (bug)")
     return UCOutcome(SOLUTION_FOUND, assignment)
 

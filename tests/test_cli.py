@@ -139,6 +139,20 @@ def test_verify_subcommand(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("instances", ["0", "-5"])
+def test_verify_refuses_fewer_than_one_instance(capsys, instances):
+    code, out, err = run(capsys, "verify", "--instances", instances)
+    assert (code, out) == (2, "")
+    assert err == f"gbcsp verify: error: need at least one instance to verify, got {instances}\n"
+
+
+def test_huge_k_is_refused_without_writing_out_d_to_the_k(capsys):
+    code, out, err = run(capsys, "generate", "--n", "3000000", "--d", "2", "--k", "3000000",
+                         "--t", "1", "--q", "1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "gbcsp generate: error: d^k=2^3000000 > 2^64: tuple ranks do not fit in 64 bits\n"
+
+
 def test_invalid_params_surface_as_errors(capsys):
     code, out, err = run(
         capsys, "predict", "--n", "2", "--d", "2", "--k", "3", "--t", "1", "--q", "1"
@@ -199,6 +213,8 @@ def test_malformed_sweep_config_is_a_one_line_error(tmp_path, capsys, text, extr
      "instance document must have exactly the keys ['n', 'd', 'k', 'constraints'], "
      "got ['constraints', 'd', 'n']"),
     (lambda doc: doc.update(n=3.9), "n must be an int, got 3.9"),
+    (lambda doc: doc["constraints"][3].update(incompatible=[[0, 0], [0, 0]]),
+     "constraint 3 repeats the forbidden tuple [0, 0]"),
 ])
 def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, edit, reason):
     path = tmp_path / "inst.json"
@@ -226,7 +242,7 @@ def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 
 
 HUGE_T = 10**20
-HUGE_T_ERROR = (f"t={HUGE_T} needs {HUGE_T * (2 + 1) * 8} bytes of scope and rank arrays, "
+HUGE_T_ERROR = (f"t={HUGE_T} needs {HUGE_T * 2 * (1 + 1) * 8} bytes of scope and tuple arrays, "
                 "over the budget of 268435456")
 
 

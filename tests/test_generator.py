@@ -6,7 +6,9 @@ import pytest
 
 from gbcsp import generator
 from gbcsp.generator import (
+    MAX_INSTANCE_BYTES,
     _rank_to_tuple,
+    check_instance_size,
     sample_constraint,
     sample_incompatible,
     sample_instance,
@@ -200,3 +202,13 @@ def test_arrays_refuse_parameters_they_cannot_hold():
         Instance(Params(n=3, d=2**33, k=2, t=0, q=1), ())
     with pytest.raises(ValueError, match=r"^n=9223372036854775809 > 2\^63"):
         sample_instance(Params(n=2**63 + 1, d=2, k=2, t=1, q=1), SeedSpec(1, 0))
+
+
+def test_instance_budget_counts_scope_and_tuple_bytes():
+    # k = 3, q = 1: 3 scope and 3 tuple entries of 8 bytes per constraint
+    largest = MAX_INSTANCE_BYTES // 48
+    assert largest == 5_592_405
+    check_instance_size(Params(n=3, d=2, k=3, t=largest, q=1))
+    with pytest.raises(ValueError, match=f"^t={largest + 1} needs {(largest + 1) * 48} bytes "
+                                         "of scope and tuple arrays, over the budget of 268435456$"):
+        check_instance_size(Params(n=3, d=2, k=3, t=largest + 1, q=1))

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from gbcsp.generator import sample_instance
+from gbcsp import generator
+from gbcsp.generator import sample_constraint, sample_instance
 from gbcsp.model import (
     ConstraintSpec,
     Instance,
@@ -43,8 +45,12 @@ class TestParams:
             Params(n=3, d=1, k=2, t=1, q=1)
 
     def test_empty_relation(self):
-        with pytest.raises(ValueError, match="empty relation"):
+        with pytest.raises(ValueError, match=r"^empty relation: q=5 > d\^k=4$"):
             Params(n=3, d=2, k=2, t=1, q=5)
+
+    def test_huge_arity_needs_no_power(self):
+        # q < 2**k settles q <= d**k without writing out 3**16000000
+        assert Params(n=16_000_000, d=3, k=16_000_000, t=1, q=1).q == 1
 
     def test_zero_tightness(self):
         with pytest.raises(ValueError, match="zero tightness"):
@@ -250,6 +256,8 @@ class TestStrictDocuments:
         ({"scope": [0, 1], "incompatible": [[0, "1"]]}, "constraint 1 tuple entry must be an int"),
         ({"scope": "01", "incompatible": [[0, 0]]}, "constraint 1 must be a list"),
         ({"scope": [0, 1], "incompatible": [0]}, "constraint 1 must be a list"),
+        ({"scope": [0, 1], "incompatible": [[1, 0], [0, 1], [1, 0]]},
+         r"^constraint 1 repeats the forbidden tuple \[1, 0\]$"),
     ])
     def test_malformed_constraint(self, entry, match):
         doc = _doc()
@@ -266,3 +274,28 @@ class TestStrictDocuments:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="got list"):
             loads_instance("[]")
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+def test_every_way_in_gives_one_tuple_array(block_rows, monkeypatch):
+    """Specs, a document and the sampler give the same read-only t x q x k
+    uint64 array of forbidden tuples, each row in lexicographic order."""
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    params = Params(n=7, d=3, k=3, t=11, q=5)
+    spec = SeedSpec(4, 0)
+    stream = spec.stream("instance")
+    specs = [sample_constraint(params, stream) for _ in range(params.t)]
+    doc = {"n": params.n, "d": params.d, "k": params.k, "constraints": [
+        {"scope": list(c.scope), "incompatible": [list(tup) for tup in c.incompatible]}
+        for c in specs
+    ]}
+    ways = [Instance(params, specs), instance_from_doc(doc), sample_instance(params, spec)]
+    for inst in ways:
+        tuples = inst.incompatible
+        assert tuples.dtype == np.uint64
+        assert tuples.shape == (params.t, params.q, params.k)
+        assert not tuples.flags.writeable
+        assert all(row == sorted(row) for row in tuples.tolist())
+        assert np.array_equal(tuples, ways[0].incompatible)
+    assert ways[0] == ways[1] == ways[2]
