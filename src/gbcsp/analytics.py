@@ -9,8 +9,14 @@ Exact quantities
     in the log domain (the sum overflows any fixed-width float well before
     n reaches interesting sizes).  Each g_i is one int/int true division
     (D P(n,k) - q P(i,k)) / (D P(n,k)), with D = d**k and P the falling
-    factorial; Python rounds it correctly, so it equals
-    float(extend_probability(i)) bit for bit.
+    factorial, so it equals float(extend_probability(i)) bit for bit.
+    While D P(n,k) < 2**53 both sides of each division are exact doubles
+    and numpy divides them; past that guard Python ints do.  Every term is
+    logged and exponentiated by math.log and math.exp, on a window of
+    levels only: a term more than 746 nats below the largest has
+    math.exp == 0.0, so numpy's logs, a few ulps off, pick the levels
+    within 747 nats and supply no value.  The exps are summed exactly in
+    integers and rounded once, as math.fsum rounds.
   * log_expected_solutions: ln of d**n * (1-p)**t.
 
 Thresholds
@@ -51,6 +57,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import Params
 
 CRITICAL_BAND = 1e-9
@@ -90,6 +98,9 @@ class AnalyticParams:
             raise RegimeError(f"analytics requires q < d, got q={params.q}, d={params.d}")
         if params.t < 1:
             raise RegimeError("analytics requires at least one constraint (r > 0)")
+        if params.p == 0.0:
+            q, d, k = params.q, params.d, params.k
+            raise ValueError(f"float tightness q/d^k = {q}/{d}^{k} underflows to 0")
         return cls(d=float(params.d), k=params.k, p=params.p, r=params.r)
 
 
@@ -113,16 +124,61 @@ def extend_probability_float(i: int, n: int, k: int, p: float) -> float:
     return 1.0 - p * prod
 
 
-def _log_node_sum(d: float, t: float, survivals) -> float:
-    """ln(1 + sum_i d**(i+1) * g_i**t) over the per-level survivals g_i, by
-    one log-sum-exp over the n+1 terms."""
+def _exact_sum(values: np.ndarray) -> float:
+    """Sum of a float64 array of fewer than 2**29 finite non-negative values,
+    correctly rounded (half to even), so equal to math.fsum of the values.
+
+    Each value is an integer mantissa below 2**53 times 2**(s - 1074) with
+    s in [0, 2046).  The two halves of each mantissa, shifted by s mod 8,
+    are summed exactly in int64 per bucket s // 8; the buckets are folded
+    into one Python int, whose true division by 2**1074 rounds once.
+    """
+    bits = values.view(np.uint64)
+    field = (bits >> 52).astype(np.int64)
+    mant = (bits & ((1 << 52) - 1)).astype(np.int64)
+    mant[field > 0] += 1 << 52  # the implicit bit of normal numbers
+    shift = np.maximum(field, 1) - 1
+    bucket, fine = shift >> 3, shift & 7
+    base = int(bucket.min())
+    bucket -= base
+    lows = np.zeros(int(bucket.max()) + 1, dtype=np.int64)
+    highs = np.zeros_like(lows)
+    np.add.at(lows, bucket, (mant & ((1 << 26) - 1)) << fine)
+    np.add.at(highs, bucket, (mant >> 26) << fine)
+    total = 0
+    for high, low in zip(highs[::-1].tolist(), lows[::-1].tolist()):
+        total = (total << 8) + (high << 26) + low
+    return (total << 8 * base) / (1 << 1074)
+
+
+def _log_node_sum(d: float, t: float, survivals: np.ndarray) -> float:
+    """ln(1 + sum_i d**(i+1) * g_i**t) over a float64 array of per-level
+    survivals g_i, by one log-sum-exp over the n+1 terms
+    x_j = j ln d + t ln g_{j-1} (x_0 = 0), as m + ln(sum_j exp(x_j - m))
+    with m the largest term.
+
+    Every value that is logged or exponentiated goes through math.log and
+    math.exp, and the rest is IEEE arithmetic, so each kept term equals the
+    Python float expression j * ln d + t * math.log(g) bit for bit.  A term with x_j - m < -746 has
+    math.exp(x_j - m) == 0.0 and adds nothing to the sum, so libm runs only
+    on the levels whose term, taken with numpy's log, is at least the
+    largest such term less 747 nats (less 1e-9 of its size besides).
+    numpy's log is a few ulps off, which moves a term by far less than the
+    one nat of margin while t * |ln g| stays below about 1e15: every level
+    whose exp is not 0.0 is kept, the largest term's included, and numpy's
+    logs supply no value.  _exact_sum then rounds the sum as math.fsum does.
+    """
     ln_d = math.log(d)
-    terms = [0.0]
-    terms.extend((i + 1) * ln_d + t * math.log(g) for i, g in enumerate(survivals))
-    m = max(terms)
-    if math.isinf(m):
-        return m
-    return m + math.log(math.fsum(math.exp(x - m) for x in terms))
+    t = float(t)
+    g = np.concatenate(([1.0], survivals))
+    approx = np.arange(len(g)) * ln_d + t * np.log(g)
+    top = float(approx.max())
+    levels = np.flatnonzero(approx >= top - 747.0 - 1e-9 * abs(top))
+    logs = np.array(list(map(math.log, g[levels].tolist())))
+    terms = levels * ln_d + t * logs
+    m = float(terms.max())
+    exps = np.array(list(map(math.exp, (terms - m).tolist())))
+    return m + math.log(_exact_sum(exps))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -134,19 +190,34 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def log_exact_expected_nodes(params: Params) -> float:
-    """ln(1 + d * sum_{i<n} d**i * g_i**t), each g_i correctly rounded."""
+    """ln(1 + d * sum_{i<n} d**i * g_i**t), each g_i correctly rounded: in
+    numpy while den = d**k * P(n, k) < 2**53, so that den and every
+    numerator den - q P(i, k) are exact doubles, and from Python ints past
+    that guard."""
     if not params.strict:
         raise RegimeError(f"expected-node formula needs q < d, got q={params.q}, d={params.d}")
     n, k, q = params.n, params.k, params.q
     den = params.d**k * math.perm(n, k)
-    survivals = ((den - q * math.perm(i, k)) / den for i in range(n))
+    if den < 1 << 53:
+        falling = np.ones(n, dtype=np.int64)
+        levels = np.arange(n, dtype=np.int64)
+        for j in range(k):
+            falling *= levels - j
+        survivals = (den - q * falling) / den
+    else:
+        quotients = ((den - q * math.perm(i, k)) / den for i in range(n))
+        survivals = np.fromiter(quotients, np.float64, n)
     return _log_node_sum(params.d, params.t, survivals)
 
 
 def log_exact_expected_nodes_at(n: int, ap: AnalyticParams) -> float:
-    """Same sum with a real-valued constraint count t = r * n."""
-    survivals = (extend_probability_float(i, n, ap.k, ap.p) for i in range(n))
-    return _log_node_sum(ap.d, ap.r * n, survivals)
+    """Same sum with a real-valued constraint count t = r * n; the survivals
+    are extend_probability_float's, with its products taken in the same order."""
+    levels = np.arange(n, dtype=np.float64)
+    prod = np.ones(n)
+    for j in range(ap.k):
+        prod *= (levels - j) / (n - j)
+    return _log_node_sum(ap.d, ap.r * n, 1.0 - ap.p * prod)
 
 
 def log_expected_solutions(params: Params) -> float:

@@ -18,7 +18,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytics
@@ -196,6 +195,9 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
     trials, seed, measures = config.trials, config.master_seed, config.measures
     if config.jobs == 1 or not points:
         return [summarize_point(p, run_point(p, trials, seed, measures), measures) for p in points]
+    # imported here: multiprocessing costs every jobs == 1 run its import time
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(config.jobs, os.cpu_count() or 1)
     size = max(1, trials // (workers * 8))
     starts = range(0, trials, size)

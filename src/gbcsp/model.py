@@ -60,6 +60,9 @@ class Params:
     @property
     def p(self) -> float:
         """Constraint tightness q / d**k."""
+        # q / d**k < 2**(q bits - k * (d bits - 1)) <= 2**-1076 rounds to 0.0
+        if self.q.bit_length() - self.k * (self.d.bit_length() - 1) <= -1076:
+            return 0.0
         return self.q / self.d**self.k
 
     @property

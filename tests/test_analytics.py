@@ -1,7 +1,9 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gbcsp import analytics
@@ -389,3 +391,113 @@ def test_exact_sum_matches_fraction_reference():
                         params = Params(n=n, d=d, k=k, t=t, q=q)
                         exact = log_exact_expected_nodes(params)
                         assert exact == _reference_log_nodes(params), params
+
+
+# --- the windowed log-sum-exp against the scalar loop -----------------------
+
+
+def _scalar_log_node_sum(d, t, survivals):
+    """The per-level loop: math.log on every level and math.fsum over every
+    exp, the reference the windowed array sum must equal bit for bit."""
+    terms = [0.0]
+    terms.extend((i + 1) * math.log(d) + t * math.log(g) for i, g in enumerate(survivals))
+    m = max(terms)
+    return m + math.log(math.fsum(math.exp(x - m) for x in terms))
+
+
+def _scalar_log_nodes(params):
+    n, k, q = params.n, params.k, params.q
+    den = params.d**k * math.perm(n, k)
+    survivals = ((den - q * math.perm(i, k)) / den for i in range(n))
+    return _scalar_log_node_sum(params.d, params.t, survivals)
+
+
+def _regime_params(n, d, k, q, mult):
+    r0 = r_regime_boundary(d, k, q / d**k)
+    return Params(n=n, d=d, k=k, t=max(1, round(mult * r0 * n)), q=q)
+
+
+def test_windowed_sum_matches_scalar_loop_in_every_regime():
+    rng = random.Random(1701)
+    regimes = set()
+    for _ in range(120):
+        d, k = rng.randint(2, 5), rng.randint(2, 4)
+        q = rng.randint(1, d - 1)
+        n = rng.choice((k, rng.randint(k, 60), rng.randint(k, 3000)))
+        mult = rng.choice((rng.uniform(0.2, 0.9), 1.0, rng.uniform(1.1, 20.0)))
+        params = _regime_params(n, d, k, q, mult)
+        regimes.add(classify_regime(AnalyticParams.from_params(params), band=1e-3))
+        assert log_exact_expected_nodes(params) == _scalar_log_nodes(params), params
+    assert regimes == {"subcritical", "critical", "supercritical"}
+
+
+@pytest.mark.parametrize("d,k,below_guard", [(3, 3, True), (3, 4, False), (2, 2, True)])
+@pytest.mark.parametrize("mult", [0.5, 1.0, 2.0])
+def test_windowed_sum_at_large_n_on_both_sides_of_the_guard(d, k, below_guard, mult):
+    n = 10_000
+    assert (d**k * math.perm(n, k) < 2**53) == below_guard
+    params = _regime_params(n, d, k, 1, mult)
+    assert log_exact_expected_nodes(params) == _scalar_log_nodes(params)
+
+
+@pytest.mark.parametrize(
+    "n,d,k,q", [(2, 2, 2, 1), (40, 5, 4, 4), (10_000, 3, 3, 2), (10_000, 3, 4, 1)]
+)
+def test_windowed_sum_with_no_constraints(n, d, k, q):
+    params = Params(n=n, d=d, k=k, t=0, q=q)
+    assert log_exact_expected_nodes(params) == _scalar_log_nodes(params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    # on an x86-64 host numpy's exp and libm's disagree in a last bit here
+    [Params(n=74, d=2, k=2, t=410, q=1), Params(n=9, d=3, k=2, t=55, q=2)],
+)
+def test_windowed_sum_where_numpy_and_libm_exp_differ(params):
+    assert log_exact_expected_nodes(params) == _scalar_log_nodes(params)
+
+
+def test_continuous_sum_matches_loop_over_extend_probability_float():
+    rng = random.Random(1702)
+    for _ in range(60):
+        d, k = rng.randint(2, 5), rng.randint(2, 4)
+        p = rng.uniform(0.01, 0.99) * d ** (1 - k)
+        r = rng.uniform(0.1, 3.0) * r_regime_boundary(d, k, p)
+        ap = AnalyticParams(float(d), k, p, r)
+        n = rng.choice((k, rng.randint(k, 60), rng.randint(k, 10_000)))
+        survivals = (extend_probability_float(i, n, k, p) for i in range(n))
+        assert log_exact_expected_nodes_at(n, ap) == _scalar_log_node_sum(d, r * n, survivals)
+
+
+TINY = 2.0**-1074
+EXACT_SUM_CASES = [
+    [1.0],
+    [TINY],
+    [0.0],
+    [TINY] * 3 + [2.0**-1022],
+    [3 * TINY, 2.0**-1022 - TINY, 5e-324],
+    [0.1] * 10_000,
+    [1.0, 2.0**-53],
+    [1.0, 2.0**-53, TINY],
+    [1.0 + 2.0**-52, 2.0**-53],
+    [1.0, 2.0**-53, 2.0**-53],
+    [2.0**-53, 1.0, 2.0**-106, 2.0**-53],
+    [math.exp(-x / 7) for x in range(5300)],
+    [math.ldexp(1.0, -e) for e in range(1075)],
+    [1e300, 1e300, 1.7976931348623157e308 / 4],
+]
+
+
+@pytest.mark.parametrize("values", EXACT_SUM_CASES, ids=range(len(EXACT_SUM_CASES)))
+def test_exact_sum_rounds_as_fsum(values):
+    assert analytics._exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+
+def test_exact_sum_matches_fsum_on_random_spans():
+    rng = random.Random(1703)
+    for _ in range(300):
+        values = [
+            math.ldexp(rng.getrandbits(53), rng.randint(-1126, -53))
+            for _ in range(rng.randint(1, 400))
+        ]
+        assert analytics._exact_sum(np.array(values)) == math.fsum(values)

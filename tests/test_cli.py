@@ -162,6 +162,14 @@ def test_invalid_params_surface_as_errors(capsys):
     assert err == "gbcsp predict: error: arity exceeds variables: k=3 > n=2\n"
 
 
+def test_predict_refuses_a_tightness_that_underflows(capsys):
+    code, out, err = run(
+        capsys, "predict", "--n", "2000", "--d", "2", "--k", "1100", "--t", "1", "--q", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "gbcsp predict: error: float tightness q/d^k = 1/2^1100 underflows to 0\n"
+
+
 def test_bad_sweep_config_is_a_one_line_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "sweep", "--n", "4", "--d", "2", "--k", "2", "--q", "1",

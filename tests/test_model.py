@@ -52,6 +52,18 @@ class TestParams:
         # q < 2**k settles q <= d**k without writing out 3**16000000
         assert Params(n=16_000_000, d=3, k=16_000_000, t=1, q=1).q == 1
 
+    def test_tightness_is_q_over_d_to_the_k(self):
+        # k on both sides of where Params.p returns 0.0 without dividing
+        for d in (2, 3, 4, 5, 7, 8, 9, 16, 17):
+            cut = 1076 // (d.bit_length() - 1)
+            for k in (2, 3, 7, *range(max(2, cut - 3), cut + 4)):
+                for q in sorted({1, 2, d - 1, d, d**2 - 1}):
+                    params = Params(n=k, d=d, k=k, t=1, q=q)
+                    assert params.p == q / d**k, (d, k, q)
+
+    def test_tightness_underflow_needs_no_power(self):
+        assert Params(n=4_000_000, d=3, k=4_000_000, t=1, q=1).p == 0.0
+
     def test_zero_tightness(self):
         with pytest.raises(ValueError, match="zero tightness"):
             Params(n=3, d=2, k=2, t=1, q=0)
