@@ -54,6 +54,7 @@ Asymptotics
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,7 +74,8 @@ class RegimeError(ValueError):
 @dataclass(frozen=True)
 class AnalyticParams:
     """Real-valued (d, k, p, r) for continuous sweeps; requires the strict
-    regime 0 < p < 1/d**(k-1) and r > 0."""
+    regime 0 < p < 1/d**(k-1), a normal float p (not below 2**-1022, where
+    r0 overflows and the rates underflow) and r > 0."""
 
     d: float
     k: int
@@ -89,6 +91,8 @@ class AnalyticParams:
             raise ValueError(
                 f"tightness p={self.p} outside the strict range (0, 1/d^(k-1)={self.d ** (1 - self.k)})"
             )
+        if self.p < sys.float_info.min:
+            raise ValueError(f"tightness p={self.p} is subnormal (below 2^-1022), too small for analytics")
         if self.r <= 0.0:
             raise ValueError(f"density must be positive, got r={self.r}")
 

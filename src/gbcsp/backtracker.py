@@ -39,21 +39,26 @@ with k >= 2 gives b <= 32.
 Every check at depth i includes variable i's field, so each forbidden
 pattern splits into a value v of variable i and a parent pattern that rules
 out the child with value v of each parent it matches, tested on 1/d of the
-rows the children have.  A check at depth i is those values and a (word,
-mask, patterns) part per parent word it tests, at most min(k, W): a parent
-rules out its child with values[j] iff ``word & mask`` equals patterns[j] in
-every part.  The part in variable i's word, without field i, is dropped
-when nothing is left in it.
+rows the children have.  A solve's checks are rows of two R x W arrays in
+the word dtype, ``masks`` and ``patterns``, one row per (check, blocking
+tuple) and one column per prefix word: a parent matches a row iff ``word &
+mask`` equals the pattern in every word, and a word the check does not test
+has mask 0, so it always matches.  The rows are sorted by depth * d + value,
+and ``cuts[i*d+v]:cuts[i*d+v+1]`` are the rows at depth i that rule out
+value v.  A block's rows are tested at most BLOCK_ROWS // size at a time,
+so a test array never holds more than BLOCK_ROWS entries: besides the
+rows, a count-only solve holds at most n * d * BLOCK_ROWS * W live words
+plus one test array of at most BLOCK_ROWS entries.
 
 A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
 when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
 completions of its values on v_0..v_j are forbidden.  A strict instance
 (q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` builds
-every check from the scope and tuple arrays in one numpy pass.
-``_check_at_depth``, which no solve calls, is the reference the tests hold
-``_tables`` to (``model.is_violated``, the oracle's predicate, shares code
-with neither).  No check tests the empty prefix, which is inconsistent only
-when t >= 1 and q = d**k.
+every row from the scope and tuple arrays with loops over scope positions
+only; ``tests/reference.py`` holds the independent per-tuple reference the
+tests hold it to (``model.is_violated``, the oracle's predicate, shares
+code with neither).  No check tests the empty prefix, which is inconsistent
+only when t >= 1 and q = d**k.
 
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
@@ -69,10 +74,11 @@ import numpy as np
 
 from .model import Instance, Params
 
-# Prefixes the depth-first driver extends in one kernel call.  At most
-# n * d * BLOCK_ROWS prefixes of W words of 4 or 8 bytes are live (a block
-# of one int32 word is 128 KiB); smaller blocks cost more calls, larger ones
-# more memory and cache misses.
+# Prefixes the depth-first driver extends in one kernel call, and the most
+# entries one check test array holds.  At most n * d * BLOCK_ROWS prefixes
+# of W words of 4 or 8 bytes are live (a block of one int32 word is
+# 128 KiB); smaller blocks cost more calls, larger ones more memory and
+# cache misses.
 BLOCK_ROWS = 2**15
 # Most solutions collect=True will hold (256 MiB per int32 word of a prefix,
 # 512 MiB per int64 word).
@@ -92,135 +98,84 @@ class SearchStats:
     solutions: tuple[tuple[int, ...], ...] | None = None
 
 
-def _check_at_depth(scope, tuples, d: int, last_var: int):
-    """Blocking subcodes for rows right after ``last_var`` is assigned, for
-    the constraint on ``scope`` forbidding the distinct value tuples ``tuples``.
-
-    Returns (cols, weights, blocked) where a row is violated iff its
-    weighted code over cols equals one of blocked, or None when no partial
-    assignment at this depth can violate the constraint.
-    """
-    fixed_positions = [j for j, v in enumerate(scope) if v <= last_var]
-    free = len(scope) - len(fixed_positions)
-    cover = d**free
-    counts: dict[int, int] = {}
-    for tup in tuples:
-        code = 0
-        for w, j in enumerate(fixed_positions):
-            code += tup[j] * d**w
-        counts[code] = counts.get(code, 0) + 1
-    blocked = sorted(c for c, m in counts.items() if m == cover)
-    if not blocked:
-        return None
-    cols = [scope[j] for j in fixed_positions]
-    weights = [d**w for w in range(len(cols))]
-    return cols, weights, blocked
-
-
-def _checks_at(inst: Instance) -> list[list]:
-    """``_check_at_depth`` checks grouped by the depth of each scope variable."""
-    params = inst.params
-    checks_at: list[list] = [[] for _ in range(params.n)]
-    for scope, rows in zip(inst.scopes.tolist(), inst.incompatible.tolist()):
-        for v in scope:
-            chk = _check_at_depth(scope, rows, params.d, v)
-            if chk is not None:
-                checks_at[v].append(chk)
-    return checks_at
-
-
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, d: int, word_bits: int):
-    """Word and shift of every variable: b = ceil(log2 d) bits per field,
-    word_bits // b whole fields per word, each word ending with its last
-    variable at shift 0."""
+    """Word and shift of every variable, and ``place``, n x W: 2**shift in
+    the variable's word and 0 in the others.  b = ceil(log2 d) bits per
+    field, word_bits // b whole fields per word, each word ending with its
+    last variable at shift 0.  ``place`` is int32 when the widest word's
+    fields take at most 31 bits, int64 otherwise."""
     b = (d - 1).bit_length()
     per = word_bits // b
     word = np.arange(n) // per
     shift = (np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b
-    word.flags.writeable = shift.flags.writeable = False
-    return word, shift
+    dtype = np.int32 if min(n, per) * b <= 31 else np.int64
+    place = np.where(word[:, None] == np.arange(word[-1] + 1), 1 << shift[:, None], 0).astype(dtype)
+    word.flags.writeable = shift.flags.writeable = place.flags.writeable = False
+    return word, shift, place
 
 
-def _tables(inst: Instance, word_of: np.ndarray, shift_of: np.ndarray) -> list[list]:
-    """Checks grouped by depth, each (values, parts) with (word, mask,
-    patterns) parts over the parent's words, built from the scope and tuple
-    arrays in one numpy pass."""
+def _tables(inst: Instance, place: np.ndarray):
+    """Every check row, built from the scope and tuple arrays: (cuts, masks,
+    patterns), with the rows at depth i that rule out value v at
+    ``cuts[i*d+v]:cuts[i*d+v+1]`` of the R x W arrays ``masks`` and
+    ``patterns``, in the dtype of ``place``."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
-    scopes, digits = inst.scopes, inst.incompatible
-    ordered = np.sort(scopes, axis=1)
-    word, shift = word_of[ordered], shift_of[scopes]
-    # fields[c, p]: constraint c's forbidden tuples at scope position p, each
-    # in its field, and last the field's mask
+    by_var = np.argsort(inst.scopes, axis=1)
+    rows = np.arange(len(by_var))[:, None]
+    ordered = inst.scopes[rows, by_var]
+    # digits[c, j, s]: tuple s of constraint c at sorted scope position j
+    digits = inst.incompatible.transpose(0, 2, 1)[rows, by_var].astype(place.dtype)
+    # fields[c, j, s, w]: those digits in their field in word w, and last
+    # (s = q) the field's mask; parts[c, j]: the sum of the fields before
+    # sorted position j, which is their OR as fields in one word are disjoint
     field = (1 << (d - 1).bit_length()) - 1
-    fields = np.concatenate([digits.astype(np.int64).transpose(0, 2, 1),
-                             np.full((len(scopes), k, 1), field)], axis=2)
-    # Part i of a check holds the scope positions p whose variable is in
-    # the word of sorted position i and not after it.  Fields in one word
-    # occupy disjoint bits, so summing them ORs them.
-    inword = (word_of[scopes][:, None, :] == word[:, :, None]) & (scopes[:, None, :] <= ordered[:, :, None])
-    parts = inword @ (fields << shift[:, :, None])
-    patterns, masks = parts[:, :, :q], parts[:, :, q]
-    spans = np.flatnonzero(word[:, 0] != word[:, -1])
+    fields = np.concatenate([digits, np.full((len(rows), k, 1), field, place.dtype)], axis=2)
+    fields = fields[..., None] * place[ordered][:, :, None]
+    parts = np.cumsum(fields, axis=1, dtype=place.dtype) - fields
+    # blocks[c, j, s]: tuple s blocks the parents at sorted position j
+    blocks = np.zeros(digits.shape, dtype=bool)
+    blocks[:, k - 1] = True  # the last scope variable: every forbidden tuple blocks
     if q >= d:
-        # The rank in sorted-scope order does not depend on the layout, and
-        # rank // d**(k-1-j) projects it on sorted positions 0..j.  A field's
-        # digit weighs d**(number of scope variables after it).
-        after = (scopes[:, None, :] > scopes[:, :, None]).sum(axis=2).astype(np.uint64)
-        rank = (digits * np.uint64(d) ** after[:, None, :]).sum(axis=2)
+        # A tuple's rank in sorted-scope order, and rank // d**(k-1-j) its
+        # projection on sorted positions 0..j.  A window of d**(k-1-j) equal
+        # projections is a full run, since no projection has more completions.
+        rank = np.uint64(d) ** np.arange(k - 1, -1, -1, dtype=np.uint64) @ digits.astype(np.uint64)
         by_rank, rank = np.argsort(rank, axis=1), np.sort(rank, axis=1)
-    tables: list[list] = [[] for _ in range(n)]
-    for j in range(k):
-        run = d ** (k - 1 - j)
-        if run > q:
-            continue
-        # Sorted position j's own field: its values, and the parent part
-        # (patterns and last the mask) that is part j less that field.
-        at = shift_of[ordered[:, j]][:, None]
-        own, parent = parts[:, j, :q] >> at & field, parts[:, j] & ~(field << at)
-        # picks[c]: constraint c's tuples whose patterns block at position j
-        if run == 1:  # the last scope variable: every forbidden tuple blocks
-            picks = [slice(None)] * len(scopes)
-            vals, pats = own.tolist(), parent[:, :q].tolist()
-        else:
-            # Sorted projections: a window of ``run`` equal values is a full
-            # run, since no projection has more than ``run`` completions.
-            proj = rank // np.uint64(run)
-            starts = proj[:, : q - run + 1] == proj[:, run - 1 :]
-            picks = [[s for s, start in zip(row, run_starts) if start]
-                     for row, run_starts in zip(by_rank[:, : q - run + 1].tolist(), starts.tolist())]
-            vals, pats = ([[row[s] for s in pick] for row, pick in zip(a.tolist(), picks)]
-                          for a in (own, parent[:, :q]))
-        checks = [((w, m, p),) if m else ()
-                  for w, m, p in zip(word[:, j].tolist(), parent[:, q].tolist(), pats)]
-        # a check spanning words has a part for each earlier word too, at
-        # that word's last sorted position
-        for c in spans:
-            if vals[c] and word[c, 0] != word[c, j]:
-                ends = np.flatnonzero(word[c, :j] != word[c, 1 : j + 1]).tolist()
-                checks[c] = tuple((int(word[c, i]), int(masks[c, i]), patterns[c, i, picks[c]].tolist())
-                                  for i in ends) + checks[c]
-        for v, value, check in zip(ordered[:, j].tolist(), vals, checks):
-            if value:
-                tables[v].append((value, check))
-    return tables
+        for j in range(k - 1):
+            run = d ** (k - 1 - j)
+            if run <= q:
+                proj = rank // np.uint64(run)
+                blocks[rows, j, by_rank[:, : q - run + 1]] = proj[:, : q - run + 1] == proj[:, run - 1 :]
+    # a row's key is depth * d + value; n * d sorts the non-blocking last
+    keys = np.where(blocks, ordered[:, :, None] * d + digits, n * d).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    cuts = np.searchsorted(keys[order], np.arange(n * d + 1)).tolist()
+    at, s = np.divmod(order[: cuts[-1]], q)
+    parts = parts.reshape(-1, q + 1, place.shape[1])
+    return cuts, parts[at, q], parts[at, s]
 
 
 def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list[int], tables,
                  collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
     prefixes from the empty prefix.  A block at depth i, a list of word
-    arrays, is checked against ``tables[i]``, which marks in ``killed`` the
-    children each parent row rules out, value v in row ``slot[v]``.  The
-    rest are built value-major, each of ``values[i]`` ORed into variable
-    i's word ``word[i]``; at the last depth a count-only walk just counts them.
-    Every word array has the dtype of ``values``.
+    arrays, is tested against the rows of ``tables`` = (cuts, masks,
+    patterns) at depth i: a parent matches a row when ``word & mask`` equals
+    the pattern in every word, and then its child with the row's value v is
+    marked in ``killed`` row ``slot[v]``.  The rest are built value-major,
+    each of ``values[i]`` ORed into variable i's word ``word[i]``; at the
+    last depth a count-only walk just counts them.  Every word array has
+    the dtype of ``values``.
 
     Returns (nodes, level_counts, blocks of solutions); the blocks are
     empty unless ``collect``.
     """
     n, d = params.n, params.d
+    cuts, masks, patterns = tables
+    # row_slot[r]: the row of ``killed`` that check row r marks
+    row_slot = [s for s, a, b in zip(slot * n, cuts, cuts[1:]) for _ in range(a, b)]
     # No check tests the empty prefix, which is inconsistent only when every
     # tuple is forbidden.
     root = 0 if params.t and params.q == d**params.k else 1
@@ -235,19 +190,18 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
             stack.append((depth, rows, stop))
         parent = [x[start:stop] for x in rows]
         size = parent[0].shape[0]
-        checks = tables[depth]
         killed = np.zeros((d, size), dtype=bool)
-        for vals, parts in checks:
-            keys = [parent[w] & mask for w, mask, _ in parts]
-            if len(keys) == 1:  # the usual check, within variable i's word
-                for v, p in zip(vals, parts[0][2]):
-                    killed[slot[v]] |= keys[0] == p
-                continue
-            for v, *pats in zip(vals, *(p for _, _, p in parts)):
-                hit = True
-                for key, p in zip(keys, pats):
-                    hit = hit & (key == p)
-                killed[slot[v]] |= hit
+        # The depth's rows are tested step at a time, so that a test array
+        # of step rows by size parents holds at most BLOCK_ROWS entries.
+        lo, hi = cuts[depth * d], cuts[depth * d + d]
+        step = max(1, BLOCK_ROWS // size)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            hit = (parent[0] & masks[a:b, :1]) == patterns[a:b, :1]
+            for w in range(1, len(parent)):
+                hit &= (parent[w] & masks[a:b, w : w + 1]) == patterns[a:b, w : w + 1]
+            for v, row in zip(row_slot[a:b], hit):
+                killed[v] |= row
         if depth + 1 == n and not collect:
             level_counts[n] += d * size - int(np.count_nonzero(killed))
             continue
@@ -255,7 +209,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
         # a variable that opens a new word is ORed into a zero word
         own = parent[w] if w < len(parent) else np.zeros(size, dtype=values.dtype)
         nxt = [np.broadcast_to(x, (d, size)) for x in parent[:w]] + [own | values[depth][:, None]]
-        if checks:
+        if lo < hi:
             keep = ~killed
             nxt = [x[keep] for x in nxt]
         else:
@@ -290,13 +244,13 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     order = list(range(d)) if value_order is None else list(value_order)
     if sorted(order) != list(range(d)):
         raise ValueError("value_order must be a permutation of range(d)")
-    word_of, shift_of = _layout(n, d, WORD_BITS)
+    word_of, shift_of, place = _layout(n, d, WORD_BITS)
+    dtype = place.dtype
     b = (d - 1).bit_length()
-    dtype = np.int32 if min(n, WORD_BITS // b) * b <= 31 else np.int64
     # values[i]: each value of variable i, in visit order, in its field
     values = (np.asarray(order) << shift_of[:, None]).astype(dtype)
     slot = np.argsort(order).tolist()
-    tables = _tables(inst, word_of, shift_of)
+    tables = _tables(inst, place)
     word = word_of.tolist()
     nodes, level_counts, found = _depth_first(inst.params, word, values, slot, tables, collect)
     solutions = None

@@ -339,6 +339,9 @@ class TestAnalyticParams:
             AnalyticParams(2.0, 2, 0.5, 1.0)  # p at the strict boundary
         with pytest.raises(ValueError):
             AnalyticParams(2.0, 2, 0.25, 0.0)
+        with pytest.raises(ValueError, match="subnormal"):
+            AnalyticParams(2.0, 2, 5e-324, 1.0)
+        assert AnalyticParams(2.0, 2, 2.0**-1022, 1.0).p == 2.0**-1022
 
     def test_from_params(self):
         ap = AnalyticParams.from_params(Params(n=10, d=3, k=2, t=10, q=2))

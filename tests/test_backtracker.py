@@ -12,6 +12,7 @@ from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent
 from gbcsp.oracle import brute_force, random_strict_params
 from gbcsp.rng import SeedSpec
+from reference import _checks_at
 
 
 def one_constraint(scope, incompatible, n, d):
@@ -377,50 +378,54 @@ def test_wide_solves_match_pinned_counts(params, nodes, nonzero):
 def reference_checks(inst):
     """``_check_at_depth`` checks per depth in the word layout, worked out
     here: with per = WORD_BITS // b fields a word, variable v lies in word
-    v // per, whose last variable sits at shift 0.  A check is its sorted
-    (word, mask) parts and the sorted tuples of its per-part patterns."""
+    v // per, whose last variable sits at shift 0.  A depth's checks are the
+    sorted multiset of their rows, one per blocked code: the mask and the
+    pattern in each of the W words."""
     n, d = inst.params.n, inst.params.d
     b = (d - 1).bit_length()
     per = backtracker.WORD_BITS // b
+    words = range(word_count(inst))
 
     def place(v):
         w = v // per
         return w, (min(n, (w + 1) * per) - 1 - v) * b
 
     tables = []
-    for checks in backtracker._checks_at(inst):
-        canonical = []
+    for checks in _checks_at(inst):
+        rows = []
         for cols, weights, blocked in checks:
-            words = sorted({place(c)[0] for c in cols})
-            masks = [sum(((1 << b) - 1) << place(c)[1] for c in cols if place(c)[0] == w)
-                     for w in words]
-            patterns = sorted(
-                tuple(sum((code // wt % d) << place(c)[1] for c, wt in zip(cols, weights)
-                          if place(c)[0] == w) for w in words)
-                for code in blocked)
-            canonical.append((tuple(zip(words, masks)), patterns))
-        tables.append(sorted(canonical))
+            masks = tuple(sum(((1 << b) - 1) << place(c)[1] for c in cols if place(c)[0] == w)
+                          for w in words)
+            rows += [(masks, tuple(sum((code // wt % d) << place(c)[1] for c, wt in zip(cols, weights)
+                                       if place(c)[0] == w) for w in words))
+                     for code in blocked]
+        tables.append(sorted(rows))
     return tables
 
 
 def canonical_tables(tables, inst):
-    """``_tables``'s checks in ``reference_checks``'s form: at depth i each
-    parent pattern is joined back with its value in variable i's field,
-    which no parent part may touch."""
-    word_of, shift_of = layout(inst)
-    field = (1 << (inst.params.d - 1).bit_length()) - 1
+    """``_tables``'s rows in ``reference_checks``'s form: at depth i each
+    parent mask and pattern is joined back with the row's value in variable
+    i's field, which no parent mask may touch, as no mask may touch a later
+    word; a pattern lies within its mask."""
+    cuts, masks, patterns = tables
+    n, d = inst.params.n, inst.params.d
+    assert len(cuts) == n * d + 1 and cuts[0] == 0 and cuts[-1] == len(masks) == len(patterns)
+    assert masks.shape == patterns.shape == (len(masks), word_count(inst))
+    assert not (patterns & ~masks).any()
+    word_of, shift_of, _ = layout(inst)
+    field = (1 << (d - 1).bit_length()) - 1
     canonical = []
-    for i, checks in enumerate(tables):
+    for i in range(n):
         own, shift = int(word_of[i]), int(shift_of[i])
         joined = []
-        for values, parts in checks:
-            assert all(m and (w < own or w == own and not m & field << shift) for w, m, _ in parts)
-            words = {w: (m, p) for w, m, p in parts}
-            mask, patterns = words.get(own, (0, [0] * len(values)))
-            words[own] = (mask | field << shift, [p | v << shift for p, v in zip(patterns, values)])
-            keys = sorted(words)
-            joined.append((tuple((w, words[w][0]) for w in keys),
-                           sorted(zip(*(words[w][1] for w in keys)))))
+        for v in range(d):
+            for mask, pattern in zip(masks[cuts[i * d + v] : cuts[i * d + v + 1]].tolist(),
+                                     patterns[cuts[i * d + v] : cuts[i * d + v + 1]].tolist()):
+                assert not any(mask[own + 1 :]) and not mask[own] & field << shift
+                mask[own] |= field << shift
+                pattern[own] |= v << shift
+                joined.append((tuple(mask), tuple(pattern)))
         canonical.append(sorted(joined))
     return canonical
 
@@ -445,9 +450,9 @@ def test_tables_match_the_generic_checks(monkeypatch):
             q = d**k
         params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(96, trial))
-        tables = backtracker._tables(inst, *layout(inst))
-        assert len(tables) == n
-        assert canonical_tables(tables, inst) == reference_checks(inst)
+        canonical = canonical_tables(backtracker._tables(inst, layout(inst)[2]), inst)
+        assert len(canonical) == n
+        assert canonical == reference_checks(inst)
     # d**k > 2**62, past the range of int64 tuple codes: two words at
     # n = k = 27, d = 5 and n = k = 64, d = 2
     monkeypatch.setattr(backtracker, "WORD_BITS", 63)
@@ -455,16 +460,18 @@ def test_tables_match_the_generic_checks(monkeypatch):
         for q in (1, d - 1, d, d**2 + 3):
             inst = sample_instance(Params(n=n, d=d, k=n, t=3, q=q), SeedSpec(96, q))
             assert word_count(inst) == 2
-            tables = backtracker._tables(inst, *layout(inst))
+            tables = backtracker._tables(inst, layout(inst)[2])
             assert canonical_tables(tables, inst) == reference_checks(inst)
     # a full run of ranks above 2**63: both tuples set variables 0..62 to 1
     ones = (1,) * 63
     inst = one_constraint(tuple(range(63, -1, -1)), {(0,) + ones, (1,) + ones}, n=64, d=2)
-    tables = backtracker._tables(inst, *layout(inst))
+    tables = backtracker._tables(inst, layout(inst)[2])
     assert canonical_tables(tables, inst) == reference_checks(inst)
-    # variable 63 alone is in word 1: its check is a word-0 part and values 0, 1
-    assert [(sorted(values), [w for w, _, _ in parts]) for ((values, parts),) in tables[62:]] == [
-        ([1], [0]), ([0, 1], [0])]
+    # variable 63 alone is in word 1: its check tests word 0 only, for values 0, 1
+    cuts, masks, _ = tables
+    assert [([v for v in range(2) for _ in range(cuts[2 * i + v], cuts[2 * i + v + 1])],
+             np.flatnonzero(masks[cuts[2 * i] : cuts[2 * i + 2]].any(axis=0)).tolist())
+            for i in (62, 63)] == [([1], [0]), ([0, 1], [0])]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -488,9 +495,10 @@ def test_block_splits_are_exact(block_rows, monkeypatch):
         for word_bits in (63, 8):
             monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
             word_of = layout(inst)[0]
-            spanning += sum(any(w < word_of[i] for w, _, _ in parts)
-                            for i, checks in enumerate(backtracker._tables(inst, *layout(inst)))
-                            for _, parts in checks)
+            cuts, masks, _ = backtracker._tables(inst, layout(inst)[2])
+            depth = np.repeat(np.arange(n), np.diff(cuts[::d]))
+            earlier = np.arange(masks.shape[1]) < word_of[depth, None]
+            spanning += int(((masks != 0) & earlier).any(axis=1).sum())
             for order in (None, list(reversed(range(d)))):
                 assert solve_all(inst, collect=True, value_order=order) == expected
                 assert solve_all(inst, value_order=order) == replace(expected, solutions=None)
@@ -511,19 +519,36 @@ def tied(free, tied):
     return Instance(Params(n=free + tied, d=2, k=2, t=tied, q=2), constraints)
 
 
+def crowded(t):
+    """t constraints (v, 5), v = 0..4 in turn, each forbidding (0, 1), (1, 2)
+    and (2, 3) at d = 4: 3t check rows at depth 5, whose level is all 4**5
+    prefixes."""
+    forbidden = frozenset({(0, 1), (1, 2), (2, 3)})
+    constraints = tuple(ConstraintSpec((v % 5, 5), forbidden) for v in range(t))
+    return Instance(Params(n=6, d=4, k=2, t=t, q=3), constraints)
+
+
 def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
-    # Each instance has a level of 2**20 prefixes (4 or 8 MiB a word); the
-    # walk may hold at most n * d * BLOCK_ROWS prefixes of W words of 4
-    # bytes (int32) or 8 (int64), plus a margin for the temporaries of one
-    # extension and Python objects.  10-bit words split the prefixes into
-    # W = 2 words; 33 bits of fields take int64.
+    # The first three instances have a level of 2**20 prefixes (4 or 8 MiB a
+    # word); the walk may hold at most n * d * BLOCK_ROWS prefixes of W
+    # words of 4 bytes (int32) or 8 (int64), plus a margin for the
+    # temporaries of one extension and Python objects.  10-bit words split
+    # the prefixes into W = 2 words; 33 bits of fields take int64.  The last
+    # tests 600 check rows on blocks of 256 parents: tested at once they
+    # would take 600 * 256 entries, so it holds the checks to a test array of
+    # at most BLOCK_ROWS entries.  A value is killed when an earlier variable
+    # takes the value before it, so 3**5 prefixes keep values 1..3.
     block_rows = 2**8
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
+    crowd = crowded(200)
+    cuts = backtracker._tables(crowd, layout(crowd)[2])[0]
+    assert cuts[6 * 4] - cuts[5 * 4] == 600 > 2 * block_rows
     dtypes = spy_dtypes(monkeypatch)
     for inst, word_bits, words, itemsize, levels in (
         (unconstrained(20, 2), 63, 1, 4, tuple(2**i for i in range(21))),
         (unconstrained(20, 2), 10, 2, 4, tuple(2**i for i in range(21))),
         (tied(21, 12), 63, 1, 8, (1,) + tuple(2 ** max(1, i - 12) for i in range(1, 34))),
+        (crowd, 63, 1, 4, (1, 4, 16, 64, 256, 1024, 1024 + 3 * 3**5)),
     ):
         monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
         n, d = inst.params.n, inst.params.d

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -168,6 +169,29 @@ def test_predict_refuses_a_tightness_that_underflows(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "gbcsp predict: error: float tightness q/d^k = 1/2^1100 underflows to 0\n"
+
+
+@pytest.mark.parametrize("k, p", [(1060, "8.095e-320"), (1070, "8e-323")])
+def test_predict_refuses_a_subnormal_tightness(k, p, capsys):
+    # r0 overflows to inf at k=1060 and the second rate underflows to 0 at
+    # k=1070; both are refused before any rate is computed
+    code, out, err = run(
+        capsys, "predict", "--n", "2000", "--d", "2", "--k", str(k), "--t", "1", "--q", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"gbcsp predict: error: tightness p={p} is subnormal (below 2^-1022), "
+                   "too small for analytics\n")
+
+
+def test_predict_accepts_the_smallest_normal_tightness(capsys):
+    # p = 2^-1022 is the smallest normal float
+    code, out, err = run(
+        capsys, "predict", "--n", "2000", "--d", "2", "--k", "1022", "--t", "1", "--q", "1"
+    )
+    assert (code, err) == (0, "")
+    fields = dict(line.split(None, 1) for line in out.splitlines())
+    for key in ("log_T_exact", "log_T_asym", "log_EN"):
+        assert math.isfinite(float(fields[key].split()[0]))
 
 
 def test_bad_sweep_config_is_a_one_line_error(tmp_path, capsys):
