@@ -121,13 +121,6 @@ def extend_probability(i: int, params: Params) -> Fraction:
     return Fraction(den - params.q * math.perm(i, params.k), den)
 
 
-def extend_probability_float(i: int, n: int, k: int, p: float) -> float:
-    prod = 1.0
-    for j in range(k):
-        prod *= (i - j) / (n - j)
-    return 1.0 - p * prod
-
-
 def _exact_sum(values: np.ndarray) -> float:
     """Sum of a float64 array of fewer than 2**29 finite non-negative values,
     correctly rounded (half to even), so equal to math.fsum of the values.
@@ -215,8 +208,9 @@ def log_exact_expected_nodes(params: Params) -> float:
 
 
 def log_exact_expected_nodes_at(n: int, ap: AnalyticParams) -> float:
-    """Same sum with a real-valued constraint count t = r * n; the survivals
-    are extend_probability_float's, with its products taken in the same order."""
+    """Same sum with a real-valued constraint count t = r * n; level i's
+    survival is 1 - p * prod_j (i - j) / (n - j) in floats, the product
+    taken from 1.0 in the order j = 0, ..., k - 1."""
     levels = np.arange(n, dtype=np.float64)
     prod = np.ones(n)
     for j in range(ap.k):

@@ -21,7 +21,7 @@ level profile, solution set) are those of the one-prefix-at-a-time
 traversal, and are cross-checked against a naive re-check-everything oracle
 in the test suite.  A frame holds at most d * BLOCK_ROWS prefixes, so at
 most n * d * BLOCK_ROWS prefixes are live however wide the widest level is,
-and a count-only solve refuses no size.  Counts are Python ints and
+and a count-only solve refuses no tree size.  Counts are Python ints and
 therefore exact at any size.
 
 Each prefix is W words of b = ceil(log2 d) bits per variable.  A word
@@ -62,7 +62,9 @@ only when t >= 1 and q = d**k.
 
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
-concatenated, sorted and decoded.
+concatenated, sorted and decoded.  Every solve refuses an instance whose
+check fields in ``_tables`` would pass ``generator.MAX_INSTANCE_BYTES``,
+before building them.
 """
 
 from __future__ import annotations
@@ -157,6 +159,23 @@ def _tables(inst: Instance, place: np.ndarray):
     return cuts, parts[at, q], parts[at, s]
 
 
+def _check_tables_size(params: Params, place: np.ndarray) -> None:
+    """Refuse an instance whose ``_tables`` fields, t * k * (q + 1) * W words
+    of the word dtype, pass ``generator.MAX_INSTANCE_BYTES``.  ``_tables``
+    peaks at about 2.4 times that when W is large (2.4 at W = 32 and 159),
+    and more at small W, where its arrays without a word axis weigh more
+    (3.9 at W = 2).  With W = 1 the fields take at most the instance's own
+    scope and tuple bytes, which ``sample_instance`` holds to the same
+    budget, so only W >= 2 is refused."""
+    from .generator import MAX_INSTANCE_BYTES
+
+    words = place.shape[1]
+    size = params.t * params.k * (params.q + 1) * words * place.itemsize
+    if size > MAX_INSTANCE_BYTES:
+        raise ValueError(f"t={params.t} needs {size} bytes of check fields over W={words} prefix words, "
+                         f"over the budget of {MAX_INSTANCE_BYTES}")
+
+
 def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list[int], tables,
                  collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
@@ -238,7 +257,8 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     never the counts; collected solutions are always reported in
     lexicographic order.  A count-only solve holds at most
     n * d * ``BLOCK_ROWS`` prefixes; ``collect=True`` raises ValueError once
-    more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found.
+    more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found, and any solve
+    raises it up front for check fields over ``generator.MAX_INSTANCE_BYTES``.
     """
     n, d = inst.params.n, inst.params.d
     order = list(range(d)) if value_order is None else list(value_order)
@@ -250,6 +270,7 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     # values[i]: each value of variable i, in visit order, in its field
     values = (np.asarray(order) << shift_of[:, None]).astype(dtype)
     slot = np.argsort(order).tolist()
+    _check_tables_size(inst.params, place)
     tables = _tables(inst, place)
     word = word_of.tolist()
     nodes, level_counts, found = _depth_first(inst.params, word, values, slot, tables, collect)

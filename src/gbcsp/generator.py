@@ -12,9 +12,10 @@ the value at position j there.  The forbidden set comes from Floyd's
 subset sampling over tuple ranks in [0, d**k): step s, with
 ``j = d**k - q + s``, draws ``pick = randbelow(j + 1)`` and takes j instead
 if pick was already chosen.  Ranks decode big-endian base d, so the first
-scope position is the most significant digit.  The scalar functions below
-(``sample_scope``, ``sample_incompatible``, ``sample_constraint``) draw one
-constraint at a time from a ``Stream``; they define the draw order.
+scope position is the most significant digit.  The draw order is one
+constraint after another from one ``Stream``, each taking its k scope draws
+and then its q Floyd draws; ``tests/reference.py`` holds the scalar
+one-constraint-at-a-time draw that the tests hold this module to.
 
 ``constraint_blocks`` makes the same draws for many constraints at once.
 A ``randbelow(b)`` call with 1 < b <= 2**64 takes words until one is at
@@ -39,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import ConstraintSpec, Instance, Params, check_array_range
+from .model import Instance, Params, check_array_range
 from .rng import SeedSpec, Stream
 
 # Rows per word block, which bounds the sampler's working memory.
@@ -49,44 +50,6 @@ BLOCK_ROWS = 1 << 16
 MAX_INSTANCE_BYTES = 1 << 28
 
 _SPAN64 = 1 << 64
-
-
-def sample_scope(n: int, k: int, stream: Stream) -> tuple[int, ...]:
-    """k distinct variable indices in [0, n); order is the draw order."""
-    swap: dict[int, int] = {}
-    out = []
-    for j in range(k):
-        pick = j + stream.randbelow(n - j)
-        out.append(swap.get(pick, pick))
-        swap[pick] = swap.get(j, j)
-    return tuple(out)
-
-
-def _rank_to_tuple(rank: int, d: int, k: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(k):
-        rank, a = divmod(rank, d)
-        digits.append(a)
-    digits.reverse()
-    return tuple(digits)
-
-
-def sample_incompatible(d: int, k: int, q: int, stream: Stream) -> frozenset[tuple[int, ...]]:
-    """Uniform q-subset of the d**k value tuples (Floyd's algorithm)."""
-    space = d**k
-    if not 1 <= q <= space:
-        raise ValueError(f"q={q} outside [1, d^k={space}]")
-    chosen: set[int] = set()
-    for j in range(space - q, space):
-        pick = stream.randbelow(j + 1)
-        chosen.add(j if pick in chosen else pick)
-    return frozenset([_rank_to_tuple(rank, d, k) for rank in chosen])
-
-
-def sample_constraint(params: Params, stream: Stream) -> ConstraintSpec:
-    scope = sample_scope(params.n, params.k, stream)
-    incompatible = sample_incompatible(params.d, params.k, params.q, stream)
-    return ConstraintSpec(scope, incompatible)
 
 
 class _Plan(NamedTuple):
@@ -182,8 +145,8 @@ def constraint_blocks(params: Params, count: int, stream: Stream) -> Iterator[tu
     """The next ``count`` constraints of ``stream`` as (scopes, incompatible)
     blocks of at most ``BLOCK_ROWS`` rows, in the layout of
     ``model.Instance``: the same constraints, from the same words, as
-    ``count`` calls of ``sample_constraint``, after which the stream stands
-    where those calls would leave it."""
+    ``count`` scalar draws in the order of the module docstring, after
+    which the stream stands where those draws would leave it."""
     check_array_range(params)
     plan = _plan(params.n, params.d, params.k, params.q)
     for start in range(0, count, BLOCK_ROWS):

@@ -59,6 +59,7 @@ class ExperimentConfig:
             require_int(t, "t_grid entry")
         # base parameters no grid point can repair; a bad t only skips its point
         Params(n=self.n, d=self.d, k=self.k, t=0, q=self.q)
+        SeedSpec(self.master_seed)  # refused here, not at the first trial
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if self.trials < 1:
@@ -228,27 +229,6 @@ def format_csv(rows) -> str:
     for row in rows:
         lines.append(",".join(_cell(getattr(row, f)) for f in _FIELDS))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> list[SummaryRow]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(_FIELDS):
-            raise ValueError(f"expected {len(_FIELDS)} columns, got {len(cells)}")
-        kwargs = {}
-        for field, cell in zip(_FIELDS, cells):
-            if cell == "":
-                kwargs[field] = None
-            elif field in ("t", "trials"):
-                kwargs[field] = int(cell)
-            else:
-                kwargs[field] = float(cell)
-        rows.append(SummaryRow(**kwargs))
-    return rows
 
 
 def _write_table(rows, path: str, text_of, what: str) -> None:

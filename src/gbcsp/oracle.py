@@ -91,8 +91,8 @@ def empirical_extend_probability(
     Samples fresh random constraints and reports the fraction not violated
     by a fixed depth-i assignment (all zeros unless given); by symmetry of
     the uniform tuple selection the choice of assignment is immaterial.
-    The constraints are those of ``samples`` consecutive ``sample_constraint``
-    calls on one stream, drawn and checked in blocks of rows.
+    The constraints are the next ``samples`` of one stream, drawn by
+    ``generator.constraint_blocks`` and checked in blocks of rows.
     """
     from .generator import constraint_blocks
 
@@ -108,21 +108,6 @@ def empirical_extend_probability(
     for scopes, incompatible in constraint_blocks(params, samples, stream):
         survived += len(scopes) - int(violated_rows(scopes, incompatible, prefix, n, d).sum())
     return survived / samples
-
-
-def exact_expected_nodes_fraction(params: Params) -> Fraction:
-    """Expected node count as an exact rational (arbitrary precision)."""
-    total = Fraction(1)
-    for i in range(params.n):
-        total += params.d ** (i + 1) * extend_probability(i, params) ** params.t
-    return total
-
-
-def log_fraction(value: Fraction) -> float:
-    """ln of a positive rational, safe for huge numerators/denominators."""
-    if value <= 0:
-        raise ValueError("need a positive rational")
-    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def random_strict_params(stream, max_n: int = 6, max_d: int = 3, t_factor: int = 3) -> Params:

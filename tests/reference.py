@@ -1,13 +1,125 @@
-"""Reference checks the tests hold ``backtracker._tables`` to.
+"""Reference paths the tests hold the package's production paths to.
 
-``_check_at_depth`` works out a constraint's blocking subcodes one tuple at
-a time, in plain Python; it shares no code with the solver's ``_tables``
-(nor with ``model.is_violated``, the brute-force oracle's predicate).
+Each one computes a quantity the package computes another way, in plain
+Python, and shares no code with the path it checks:
+
+- ``sample_scope``, ``sample_incompatible`` and ``sample_constraint`` draw
+  one constraint at a time from a ``Stream``; they define the draw order
+  that ``generator.constraint_blocks`` reproduces in blocks.
+- ``extend_probability_float`` is the level survival 1 - p * prod (i-j)/(n-j)
+  with float products taken in order j = 0..k-1, which
+  ``analytics.log_exact_expected_nodes_at`` reproduces in numpy.
+- ``exact_expected_nodes_fraction`` is the expected node count as an exact
+  rational, and ``log_fraction`` its log, against which
+  ``analytics.log_exact_expected_nodes`` is held.
+- ``parse_csv`` reads ``harness.format_csv`` output back into rows.
+- ``_check_at_depth`` works out a constraint's blocking subcodes one tuple
+  at a time; it shares no code with the solver's ``_tables`` (nor with
+  ``model.is_violated``, the brute-force oracle's predicate).
+
+``one_constraint`` builds the one-constraint instances several test files
+use.
 """
 
 from __future__ import annotations
 
-from gbcsp.model import Instance
+import math
+from fractions import Fraction
+
+from gbcsp.analytics import extend_probability
+from gbcsp.harness import _FIELDS, CSV_HEADER, SummaryRow
+from gbcsp.model import ConstraintSpec, Instance, Params
+from gbcsp.rng import Stream
+
+
+def one_constraint(scope, incompatible, n, d, k=None, q=None):
+    """An instance of the one constraint on ``scope`` forbidding
+    ``incompatible``; k and q default to the sizes of the two."""
+    k = len(scope) if k is None else k
+    q = len(incompatible) if q is None else q
+    params = Params(n=n, d=d, k=k, t=1, q=q)
+    return Instance(params, (ConstraintSpec(scope, frozenset(incompatible)),))
+
+
+def sample_scope(n: int, k: int, stream: Stream) -> tuple[int, ...]:
+    """k distinct variable indices in [0, n); order is the draw order."""
+    swap: dict[int, int] = {}
+    out = []
+    for j in range(k):
+        pick = j + stream.randbelow(n - j)
+        out.append(swap.get(pick, pick))
+        swap[pick] = swap.get(j, j)
+    return tuple(out)
+
+
+def _rank_to_tuple(rank: int, d: int, k: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(k):
+        rank, a = divmod(rank, d)
+        digits.append(a)
+    digits.reverse()
+    return tuple(digits)
+
+
+def sample_incompatible(d: int, k: int, q: int, stream: Stream) -> frozenset[tuple[int, ...]]:
+    """Uniform q-subset of the d**k value tuples (Floyd's algorithm)."""
+    space = d**k
+    if not 1 <= q <= space:
+        raise ValueError(f"q={q} outside [1, d^k={space}]")
+    chosen: set[int] = set()
+    for j in range(space - q, space):
+        pick = stream.randbelow(j + 1)
+        chosen.add(j if pick in chosen else pick)
+    return frozenset([_rank_to_tuple(rank, d, k) for rank in chosen])
+
+
+def sample_constraint(params: Params, stream: Stream) -> ConstraintSpec:
+    scope = sample_scope(params.n, params.k, stream)
+    incompatible = sample_incompatible(params.d, params.k, params.q, stream)
+    return ConstraintSpec(scope, incompatible)
+
+
+def extend_probability_float(i: int, n: int, k: int, p: float) -> float:
+    prod = 1.0
+    for j in range(k):
+        prod *= (i - j) / (n - j)
+    return 1.0 - p * prod
+
+
+def exact_expected_nodes_fraction(params: Params) -> Fraction:
+    """Expected node count as an exact rational (arbitrary precision)."""
+    total = Fraction(1)
+    for i in range(params.n):
+        total += params.d ** (i + 1) * extend_probability(i, params) ** params.t
+    return total
+
+
+def log_fraction(value: Fraction) -> float:
+    """ln of a positive rational, safe for huge numerators/denominators."""
+    if value <= 0:
+        raise ValueError("need a positive rational")
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def parse_csv(text: str) -> list[SummaryRow]:
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unrecognized CSV header")
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(_FIELDS):
+            raise ValueError(f"expected {len(_FIELDS)} columns, got {len(cells)}")
+        kwargs = {}
+        for field, cell in zip(_FIELDS, cells):
+            if cell == "":
+                kwargs[field] = None
+            elif field in ("t", "trials"):
+                kwargs[field] = int(cell)
+            else:
+                kwargs[field] = float(cell)
+        rows.append(SummaryRow(**kwargs))
+    return rows
 
 
 def _check_at_depth(scope, tuples, d: int, last_var: int):

@@ -12,7 +12,6 @@ from gbcsp.analytics import (
     RegimeError,
     classify_regime,
     extend_probability,
-    extend_probability_float,
     log_asymptotic_nodes_at,
     log_exact_expected_nodes,
     log_exact_expected_nodes_at,
@@ -31,7 +30,7 @@ from gbcsp.analytics import (
     uc_bound,
 )
 from gbcsp.model import Params
-from gbcsp.oracle import exact_expected_nodes_fraction, log_fraction
+from reference import exact_expected_nodes_fraction, extend_probability_float, log_fraction
 
 GRID = [
     (d, k, factor * d ** (1 - k))

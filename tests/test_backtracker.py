@@ -6,18 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbcsp import backtracker
+from gbcsp import backtracker, generator
 from gbcsp.backtracker import SearchStats, solve_all
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent
 from gbcsp.oracle import brute_force, random_strict_params
 from gbcsp.rng import SeedSpec
-from reference import _checks_at
-
-
-def one_constraint(scope, incompatible, n, d):
-    params = Params(n=n, d=d, k=len(scope), t=1, q=len(incompatible))
-    return Instance(params, (ConstraintSpec(scope, frozenset(incompatible)),))
+from reference import _checks_at, one_constraint
 
 
 def unconstrained(n, d, k=2):
@@ -348,6 +343,31 @@ def test_level_budget_is_checked_before_allocating(n, words, monkeypatch):
         solve_all(inst, collect=True)
     monkeypatch.setattr(backtracker, "MAX_COLLECTED_SOLUTIONS", counts[-1])
     assert solve_all(inst, collect=True).solution_count == counts[-1]
+
+
+def test_check_fields_are_charged_before_allocating(monkeypatch):
+    """solve_all charges the t * k * (q + 1) * W words of ``_tables`` fields
+    against MAX_INSTANCE_BYTES before building them.  At W = 1 they take at
+    most the instance's own scope and tuple bytes; two int64 words take
+    twice those, so a budget of exactly those bytes refuses W = 2 only."""
+    t = 20_000
+    wide = sample_instance(Params(n=64, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
+    narrow = sample_instance(Params(n=10, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
+    assert (word_count(wide), word_count(narrow)) == (2, 1)
+    solved = solve_all(narrow)
+    budget = t * 3 * (1 + 1) * 8
+    monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^t={t} needs {2 * budget} bytes of check fields "
+                                             f"over W=2 prefix words, over the budget of {budget}$"):
+            solve_all(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the fields would have taken about 3.9 * 2 * budget bytes
+    assert peak < 2**16
+    assert solve_all(narrow) == solved
 
 
 # nodes and level counts of sample_instance(params, SeedSpec(1, 0)), as the

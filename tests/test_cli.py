@@ -6,8 +6,9 @@ import pytest
 
 from gbcsp import analytics
 from gbcsp.cli import main
-from gbcsp.harness import CSV_HEADER, format_plotdata, parse_csv
+from gbcsp.harness import CSV_HEADER, format_plotdata
 from gbcsp.model import loads_instance
+from reference import parse_csv
 
 
 def run(capsys, *argv):
@@ -273,6 +274,18 @@ def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert err == "gbcsp solve: error: at least 210 solutions to collect, over the budget of 8\n"
 
 
+def test_solve_refuses_check_fields_over_budget(tmp_path, capsys, monkeypatch):
+    # n = 64 takes W = 2 int64 prefix words: 192,000 bytes of check fields
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "64", "--d", "2", "--k", "3", "--t", "2000", "--q", "1",
+        "--seed", "3", "--out", str(path))
+    monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 96_000)
+    code, out, err = run(capsys, "solve", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("gbcsp solve: error: t=2000 needs 192000 bytes of check fields over W=2 prefix words, "
+                   "over the budget of 96000\n")
+
+
 HUGE_T = 10**20
 HUGE_T_ERROR = (f"t={HUGE_T} needs {HUGE_T * 2 * (1 + 1) * 8} bytes of scope and tuple arrays, "
                 "over the budget of 268435456")
@@ -332,6 +345,16 @@ def test_invalid_sweep_config_json_names_the_file(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"gbcsp sweep: error: {path} is not valid JSON: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_a_bad_seed_before_any_point(capsys, jobs):
+    # the huge t would print a "skipping grid point" line if a point were tried
+    code, out, err = run(capsys, "sweep", "--n", "4", "--d", "2", "--k", "2", "--q", "1",
+                         "--t-grid", "5,100000000000", "--trials", "3", "--seed", "-1",
+                         "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "gbcsp sweep: error: master_seed must fit in 64 unsigned bits\n"
 
 
 def test_bad_t_grid_names_the_flag(capsys):

@@ -5,17 +5,10 @@ from collections import Counter
 import pytest
 
 from gbcsp import generator
-from gbcsp.generator import (
-    MAX_INSTANCE_BYTES,
-    _rank_to_tuple,
-    check_instance_size,
-    sample_constraint,
-    sample_incompatible,
-    sample_instance,
-    sample_scope,
-)
+from gbcsp.generator import MAX_INSTANCE_BYTES, check_instance_size, sample_instance
 from gbcsp.model import Instance, Params, dumps_instance, is_violated
 from gbcsp.rng import _GAMMA, SeedSpec
+from reference import _rank_to_tuple, sample_constraint, sample_incompatible, sample_scope
 
 
 def test_rank_decode_big_endian():

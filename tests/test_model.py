@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbcsp import generator
-from gbcsp.generator import sample_constraint, sample_instance
+from gbcsp.generator import sample_instance
 from gbcsp.model import (
     ConstraintSpec,
     Instance,
@@ -16,13 +16,7 @@ from gbcsp.model import (
 )
 from gbcsp.oracle import random_strict_params
 from gbcsp.rng import SeedSpec
-
-
-def inst_one(scope, incompatible, n, d, k=None, q=None):
-    k = len(scope) if k is None else k
-    q = len(incompatible) if q is None else q
-    params = Params(n=n, d=d, k=k, t=1, q=q)
-    return Instance(params, (ConstraintSpec(scope, frozenset(incompatible)),))
+from reference import one_constraint, sample_constraint
 
 
 class TestParams:
@@ -127,7 +121,7 @@ class TestConsistency:
         assert is_consistent(inst, (1, 0))
 
     def test_single_constraint(self):
-        inst = inst_one((0, 1), {(0, 0)}, n=2, d=2)
+        inst = one_constraint((0, 1), {(0, 0)}, n=2, d=2)
         assert not is_consistent(inst, (0, 0))
         assert is_consistent(inst, (1,))
         assert is_consistent(inst, ())
@@ -192,7 +186,7 @@ class TestSerialization:
             assert dumps_instance(again) == text
 
     def test_doc_shape_and_sorted_tuples(self):
-        inst = inst_one((2, 0), {(1, 0), (0, 1)}, n=3, d=2)
+        inst = one_constraint((2, 0), {(1, 0), (0, 1)}, n=3, d=2)
         doc = instance_to_doc(inst)
         assert set(doc) == {"n", "d", "k", "constraints"}
         entry = doc["constraints"][0]

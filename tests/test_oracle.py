@@ -5,23 +5,16 @@ from fractions import Fraction
 import pytest
 
 from gbcsp import backtracker, generator, oracle
-from gbcsp.generator import sample_constraint
-from gbcsp.model import ConstraintSpec, Instance, Params, is_violated
+from gbcsp.model import Instance, Params, is_violated
 from gbcsp.rng import SeedSpec
 from gbcsp.oracle import (
     brute_force,
     compare_with_solver,
     empirical_extend_probability,
-    exact_expected_nodes_fraction,
     extend_probability_binomial,
-    log_fraction,
     verification_report,
 )
-
-
-def one_constraint(scope, incompatible, n, d):
-    params = Params(n=n, d=d, k=len(scope), t=1, q=len(incompatible))
-    return Instance(params, (ConstraintSpec(scope, frozenset(incompatible)),))
+from reference import exact_expected_nodes_fraction, log_fraction, one_constraint, sample_constraint
 
 
 class TestBruteForce:

@@ -1,8 +1,13 @@
-"""The benchmark's tracer wraps package attributes by name from outside the
-package; these tests keep those names and the per-round hook in place."""
+"""The benchmark's modules reach package attributes by name from outside
+the package; these tests keep those names and the per-round hook in place."""
 
+import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
+import gbcsp
 from gbcsp import uc
 from gbcsp.generator import sample_instance
 from gbcsp.model import Params
@@ -17,6 +22,24 @@ def test_trace_targets_resolve(monkeypatch):
 
     for owner, attr, name in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("name", ["checks", "workloads"])
+def test_benchmark_modules_import(monkeypatch, name):
+    """The module imports, and every ``module.attribute`` it reads from a
+    module imported from ``gbcsp`` resolves."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    owners = {alias.asname or alias.name: getattr(gbcsp, alias.name)
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gbcsp"
+              for alias in node.names}
+    reached = {(node.value.id, node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in owners}
+    assert reached
+    for owner, attr in sorted(reached):
+        assert hasattr(owners[owner], attr), f"{name}: {owner}.{attr}"
 
 
 def test_one_reduction_per_round(monkeypatch):
