@@ -53,18 +53,18 @@ plus one test array of at most BLOCK_ROWS entries.
 A constraint with sorted scope v_0 < ... < v_{k-1} is checked at depth v_j
 when d**(k-1-j) <= q: a prefix violates it there iff all d**(k-1-j)
 completions of its values on v_0..v_j are forbidden.  A strict instance
-(q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` builds
-every row from the scope and tuple arrays with loops over scope positions
-only; ``tests/reference.py`` holds the independent per-tuple reference the
-tests hold it to (``model.is_violated``, the oracle's predicate, shares
-code with neither).  No check tests the empty prefix, which is inconsistent
-only when t >= 1 and q = d**k.
+(q < d) thus has one check per constraint, at v_{k-1}.  ``_tables`` ORs
+each row's parent fields into ``masks`` and ``patterns`` in place, its only
+arrays with a word axis; ``tests/reference.py`` holds the independent
+per-tuple reference the tests hold it to (``model.is_violated``, the
+oracle's predicate, shares code with neither).  No check tests the empty
+prefix, which is inconsistent only when t >= 1 and q = d**k.
 
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
-concatenated, sorted and decoded.  Every solve refuses an instance whose
-check fields in ``_tables`` would pass ``generator.MAX_INSTANCE_BYTES``,
-before building them.
+concatenated, sorted and decoded.  Every solve, and ``harness.run_sweep``
+for each grid point it would solve, refuses an instance whose check rows
+(t * q of them when q < d) would pass ``generator.MAX_INSTANCE_BYTES``.
 """
 
 from __future__ import annotations
@@ -102,40 +102,31 @@ class SearchStats:
 
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, d: int, word_bits: int):
-    """Word and shift of every variable, and ``place``, n x W: 2**shift in
-    the variable's word and 0 in the others.  b = ceil(log2 d) bits per
+    """(word, shift, dtype) of every variable: b = ceil(log2 d) bits per
     field, word_bits // b whole fields per word, each word ending with its
-    last variable at shift 0.  ``place`` is int32 when the widest word's
-    fields take at most 31 bits, int64 otherwise."""
+    last variable at shift 0, in int32 words when the widest word's fields
+    take at most 31 bits and int64 words otherwise."""
     b = (d - 1).bit_length()
     per = word_bits // b
     word = np.arange(n) // per
-    shift = (np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b
     dtype = np.int32 if min(n, per) * b <= 31 else np.int64
-    place = np.where(word[:, None] == np.arange(word[-1] + 1), 1 << shift[:, None], 0).astype(dtype)
-    word.flags.writeable = shift.flags.writeable = place.flags.writeable = False
-    return word, shift, place
+    shift = ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
+    word.flags.writeable = shift.flags.writeable = False
+    return word, shift, dtype
 
 
-def _tables(inst: Instance, place: np.ndarray):
+def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray, dtype):
     """Every check row, built from the scope and tuple arrays: (cuts, masks,
     patterns), with the rows at depth i that rule out value v at
     ``cuts[i*d+v]:cuts[i*d+v+1]`` of the R x W arrays ``masks`` and
-    ``patterns``, in the dtype of ``place``."""
+    ``patterns`` in the word dtype."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
     by_var = np.argsort(inst.scopes, axis=1)
     rows = np.arange(len(by_var))[:, None]
     ordered = inst.scopes[rows, by_var]
     # digits[c, j, s]: tuple s of constraint c at sorted scope position j
-    digits = inst.incompatible.transpose(0, 2, 1)[rows, by_var].astype(place.dtype)
-    # fields[c, j, s, w]: those digits in their field in word w, and last
-    # (s = q) the field's mask; parts[c, j]: the sum of the fields before
-    # sorted position j, which is their OR as fields in one word are disjoint
-    field = (1 << (d - 1).bit_length()) - 1
-    fields = np.concatenate([digits, np.full((len(rows), k, 1), field, place.dtype)], axis=2)
-    fields = fields[..., None] * place[ordered][:, :, None]
-    parts = np.cumsum(fields, axis=1, dtype=place.dtype) - fields
+    digits = inst.incompatible.transpose(0, 2, 1)[rows, by_var].astype(dtype)
     # blocks[c, j, s]: tuple s blocks the parents at sorted position j
     blocks = np.zeros(digits.shape, dtype=bool)
     blocks[:, k - 1] = True  # the last scope variable: every forbidden tuple blocks
@@ -154,25 +145,32 @@ def _tables(inst: Instance, place: np.ndarray):
     keys = np.where(blocks, ordered[:, :, None] * d + digits, n * d).reshape(-1)
     order = np.argsort(keys, kind="stable")
     cuts = np.searchsorted(keys[order], np.arange(n * d + 1)).tolist()
-    at, s = np.divmod(order[: cuts[-1]], q)
-    parts = parts.reshape(-1, q + 1, place.shape[1])
-    return cuts, parts[at, q], parts[at, s]
+    # row (c, j, s) ORs the fields of sorted scope positions 0..j-1 into their words
+    c, j, s = np.unravel_index(order[: cuts[-1]], digits.shape)
+    var = ordered[c, : k - 1]
+    field = ((1 << (d - 1).bit_length()) - 1) << shift[var]
+    digit = digits[c, : k - 1, s] << shift[var]
+    if q >= d:  # zero the fields at and after a row's own position
+        field, digit = (x * (np.arange(k - 1) < j[:, None]) for x in (field, digit))
+    masks, patterns = np.zeros((2, len(c), int(word[-1]) + 1), dtype)
+    at = word[var] + masks.shape[1] * np.arange(len(c))[:, None]
+    np.bitwise_or.at(masks.reshape(-1), at, field)
+    np.bitwise_or.at(patterns.reshape(-1), at, digit)
+    return cuts, masks, patterns
 
 
-def _check_tables_size(params: Params, place: np.ndarray) -> None:
-    """Refuse an instance whose ``_tables`` fields, t * k * (q + 1) * W words
-    of the word dtype, pass ``generator.MAX_INSTANCE_BYTES``.  ``_tables``
-    peaks at about 2.4 times that when W is large (2.4 at W = 32 and 159),
-    and more at small W, where its arrays without a word axis weigh more
-    (3.9 at W = 2).  With W = 1 the fields take at most the instance's own
-    scope and tuple bytes, which ``sample_instance`` holds to the same
-    budget, so only W >= 2 is refused."""
+def check_solve_size(params: Params) -> None:
+    """Refuse an instance whose check rows pass ``generator.MAX_INSTANCE_BYTES``:
+    W words of ``masks`` and of ``patterns`` for each row, of which a constraint
+    has at most floor(q / d**m) at sorted scope position k-1-m, m < k."""
     from .generator import MAX_INSTANCE_BYTES
 
-    words = place.shape[1]
-    size = params.t * params.k * (params.q + 1) * words * place.itemsize
+    word, _, dtype = _layout(params.n, params.d, WORD_BITS)
+    words = int(word[-1]) + 1
+    rows = params.t * sum(params.q // params.d**m for m in range(params.k))
+    size = rows * words * 2 * np.dtype(dtype).itemsize
     if size > MAX_INSTANCE_BYTES:
-        raise ValueError(f"t={params.t} needs {size} bytes of check fields over W={words} prefix words, "
+        raise ValueError(f"t={params.t} needs {size} bytes of check rows over W={words} prefix words, "
                          f"over the budget of {MAX_INSTANCE_BYTES}")
 
 
@@ -258,20 +256,19 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     lexicographic order.  A count-only solve holds at most
     n * d * ``BLOCK_ROWS`` prefixes; ``collect=True`` raises ValueError once
     more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found, and any solve
-    raises it up front for check fields over ``generator.MAX_INSTANCE_BYTES``.
+    raises it up front for check rows over ``generator.MAX_INSTANCE_BYTES``.
     """
     n, d = inst.params.n, inst.params.d
     order = list(range(d)) if value_order is None else list(value_order)
     if sorted(order) != list(range(d)):
         raise ValueError("value_order must be a permutation of range(d)")
-    word_of, shift_of, place = _layout(n, d, WORD_BITS)
-    dtype = place.dtype
+    word_of, shift_of, dtype = _layout(n, d, WORD_BITS)
     b = (d - 1).bit_length()
     # values[i]: each value of variable i, in visit order, in its field
     values = (np.asarray(order) << shift_of[:, None]).astype(dtype)
     slot = np.argsort(order).tolist()
-    _check_tables_size(inst.params, place)
-    tables = _tables(inst, place)
+    check_solve_size(inst.params)
+    tables = _tables(inst, word_of, shift_of, dtype)
     word = word_of.tolist()
     nodes, level_counts, found = _depth_first(inst.params, word, values, slot, tables, collect)
     solutions = None

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analytics
-from .backtracker import solve_all
+from .backtracker import check_solve_size, solve_all
 from .generator import check_instance_size, sample_instance
 from .model import Params, require_int
 from .rng import SeedSpec
@@ -71,6 +71,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
         if not self.measures:
             raise ValueError("at least one measure is required")
+        if "uc" in self.measures and self.q >= self.d:
+            raise ValueError(f"measure 'uc' requires q < d, got q={self.q}, d={self.d}")
 
     def to_doc(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -182,14 +184,16 @@ def summarize_point(params: Params, records, measures) -> SummaryRow:
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
-    """All grid points; invalid points are reported and skipped.  A pool of
-    ``workers = min(jobs, CPUs)`` runs pieces of ``max(1, trials //
-    (workers * 8))`` trials, joined in order."""
+    """All grid points; invalid points and points over the memory budget are
+    reported and skipped.  A pool of ``workers = min(jobs, CPUs)`` runs pieces
+    of ``max(1, trials // (workers * 8))`` trials, joined in order."""
     points = []
     for t in config.t_grid:
         try:
             params = Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q)
             check_instance_size(params)
+            if "nodes" in config.measures or "sat" in config.measures:
+                check_solve_size(params)
             points.append(params)
         except (ValueError, TypeError) as exc:
             print(f"skipping grid point t={t}: {exc}", file=sys.stderr)

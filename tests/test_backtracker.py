@@ -346,28 +346,74 @@ def test_level_budget_is_checked_before_allocating(n, words, monkeypatch):
 
 
 def test_check_fields_are_charged_before_allocating(monkeypatch):
-    """solve_all charges the t * k * (q + 1) * W words of ``_tables`` fields
-    against MAX_INSTANCE_BYTES before building them.  At W = 1 they take at
-    most the instance's own scope and tuple bytes; two int64 words take
-    twice those, so a budget of exactly those bytes refuses W = 2 only."""
+    """solve_all charges the check rows, t * q of them for a strict
+    instance, each W words of ``masks`` and ``patterns``, against
+    MAX_INSTANCE_BYTES before building them.  A budget of two int64 words a
+    row refuses n = 64 (W = 2 int64 words) and passes n = 10 (one int32)."""
     t = 20_000
     wide = sample_instance(Params(n=64, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
     narrow = sample_instance(Params(n=10, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
     assert (word_count(wide), word_count(narrow)) == (2, 1)
     solved = solve_all(narrow)
-    budget = t * 3 * (1 + 1) * 8
+    budget = t * 2 * 8
     monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^t={t} needs {2 * budget} bytes of check fields "
+        with pytest.raises(ValueError, match=f"^t={t} needs {2 * budget} bytes of check rows "
                                              f"over W=2 prefix words, over the budget of {budget}$"):
             solve_all(wide)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # building the fields would have taken about 3.9 * 2 * budget bytes
+    # building the rows would have taken 2 * budget bytes
     assert peak < 2**16
     assert solve_all(narrow) == solved
+
+
+def test_charge_is_the_rows_bound(monkeypatch):
+    """check_solve_size charges rows_bound * W * 2 * itemsize bytes, where
+    rows_bound = t * sum_{m<k} floor(q / d**m) is at least the R rows
+    ``_tables`` builds, and equal to R when q < d."""
+    stream = SeedSpec(95, 0).stream("charge")
+    budget = generator.MAX_INSTANCE_BYTES
+    strict = 0
+    for trial in range(160):
+        word_bits = (63, 8, 5, 3)[trial % 4]
+        monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+        d = 2 + stream.randbelow(3)
+        k = 2 + stream.randbelow(3)
+        n = k + stream.randbelow(40)
+        q = 1 + stream.randbelow(d - 1 if trial % 2 else d**k)
+        params = Params(n=n, d=d, k=k, t=stream.randbelow(3 * n + 1), q=q)
+        inst = sample_instance(params, SeedSpec(95, trial))
+        masks = backtracker._tables(inst, *layout(inst))[1]
+        rows_bound = params.t * sum(q // d**m for m in range(k))
+        assert rows_bound >= len(masks)
+        if q < d:
+            assert rows_bound == len(masks)
+            strict += 1
+        charge = rows_bound * word_count(inst) * 2 * masks.itemsize
+        monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", charge)
+        backtracker.check_solve_size(params)
+        monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", charge - 1)
+        with pytest.raises(ValueError, match=f"^t={params.t} needs {charge} bytes of check rows "):
+            backtracker.check_solve_size(params)
+        monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
+    assert strict >= 80
+
+
+def test_tables_peak_is_the_rows():
+    """``_tables`` writes its R x W rows in place: with W = 32 int64 words
+    its traced peak stays near the bytes of ``masks`` and ``patterns``."""
+    inst = sample_instance(Params(n=2000, d=2, k=3, t=8000, q=1), SeedSpec(3, 0))
+    assert word_count(inst) == 32
+    tracemalloc.start()
+    try:
+        _, masks, patterns = backtracker._tables(inst, *layout(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * (masks.nbytes + patterns.nbytes)
 
 
 # nodes and level counts of sample_instance(params, SeedSpec(1, 0)), as the
@@ -470,7 +516,7 @@ def test_tables_match_the_generic_checks(monkeypatch):
             q = d**k
         params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(96, trial))
-        canonical = canonical_tables(backtracker._tables(inst, layout(inst)[2]), inst)
+        canonical = canonical_tables(backtracker._tables(inst, *layout(inst)), inst)
         assert len(canonical) == n
         assert canonical == reference_checks(inst)
     # d**k > 2**62, past the range of int64 tuple codes: two words at
@@ -480,12 +526,12 @@ def test_tables_match_the_generic_checks(monkeypatch):
         for q in (1, d - 1, d, d**2 + 3):
             inst = sample_instance(Params(n=n, d=d, k=n, t=3, q=q), SeedSpec(96, q))
             assert word_count(inst) == 2
-            tables = backtracker._tables(inst, layout(inst)[2])
+            tables = backtracker._tables(inst, *layout(inst))
             assert canonical_tables(tables, inst) == reference_checks(inst)
     # a full run of ranks above 2**63: both tuples set variables 0..62 to 1
     ones = (1,) * 63
     inst = one_constraint(tuple(range(63, -1, -1)), {(0,) + ones, (1,) + ones}, n=64, d=2)
-    tables = backtracker._tables(inst, layout(inst)[2])
+    tables = backtracker._tables(inst, *layout(inst))
     assert canonical_tables(tables, inst) == reference_checks(inst)
     # variable 63 alone is in word 1: its check tests word 0 only, for values 0, 1
     cuts, masks, _ = tables
@@ -515,7 +561,7 @@ def test_block_splits_are_exact(block_rows, monkeypatch):
         for word_bits in (63, 8):
             monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
             word_of = layout(inst)[0]
-            cuts, masks, _ = backtracker._tables(inst, layout(inst)[2])
+            cuts, masks, _ = backtracker._tables(inst, *layout(inst))
             depth = np.repeat(np.arange(n), np.diff(cuts[::d]))
             earlier = np.arange(masks.shape[1]) < word_of[depth, None]
             spanning += int(((masks != 0) & earlier).any(axis=1).sum())
@@ -561,7 +607,7 @@ def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
     block_rows = 2**8
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
     crowd = crowded(200)
-    cuts = backtracker._tables(crowd, layout(crowd)[2])[0]
+    cuts = backtracker._tables(crowd, *layout(crowd))[0]
     assert cuts[6 * 4] - cuts[5 * 4] == 600 > 2 * block_rows
     dtypes = spy_dtypes(monkeypatch)
     for inst, word_bits, words, itemsize, levels in (

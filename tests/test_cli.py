@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -275,15 +276,15 @@ def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_refuses_check_fields_over_budget(tmp_path, capsys, monkeypatch):
-    # n = 64 takes W = 2 int64 prefix words: 192,000 bytes of check fields
+    # n = 64 takes W = 2 int64 prefix words: 64,000 bytes of check rows
     path = tmp_path / "inst.json"
     run(capsys, "generate", "--n", "64", "--d", "2", "--k", "3", "--t", "2000", "--q", "1",
         "--seed", "3", "--out", str(path))
-    monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 96_000)
+    monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 32_000)
     code, out, err = run(capsys, "solve", "--in", str(path))
     assert (code, out) == (2, "")
-    assert err == ("gbcsp solve: error: t=2000 needs 192000 bytes of check fields over W=2 prefix words, "
-                   "over the budget of 96000\n")
+    assert err == ("gbcsp solve: error: t=2000 needs 64000 bytes of check rows over W=2 prefix words, "
+                   "over the budget of 32000\n")
 
 
 HUGE_T = 10**20
@@ -355,6 +356,30 @@ def test_sweep_refuses_a_bad_seed_before_any_point(capsys, jobs):
                          "--jobs", jobs)
     assert (code, out) == (2, "")
     assert err == "gbcsp sweep: error: master_seed must fit in 64 unsigned bits\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_skips_a_point_over_the_row_budget(capsys, jobs):
+    # W = 159 int64 words: 120,000 rows take 305,280,000 bytes, over 2**28;
+    # the instance's own arrays, 5,760,000 bytes, are never drawn
+    (code, out, err), peak = traced_run(capsys, "sweep", "--n", "10000", "--d", "2", "--k", "3",
+                                        "--q", "1", "--t-grid", "120000", "--trials", "2",
+                                        "--seed", "1", "--jobs", jobs)
+    assert (code, out) == (1, "")
+    assert err == ("skipping grid point t=120000: t=120000 needs 305280000 bytes of check rows "
+                   "over W=159 prefix words, over the budget of 268435456\nno valid grid points\n")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_uc_when_q_is_not_below_d(capsys, monkeypatch, jobs):
+    # refused while the config is read: no pool is started (one would fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    code, out, err = run(capsys, "sweep", "--n", "10", "--d", "2", "--k", "2", "--q", "2",
+                         "--t-grid", "5,10", "--trials", "3", "--seed", "1", "--measure", "uc",
+                         "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "gbcsp sweep: error: measure 'uc' requires q < d, got q=2, d=2\n"
 
 
 def test_bad_t_grid_names_the_flag(capsys):

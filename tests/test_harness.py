@@ -93,6 +93,12 @@ class TestConfig:
             ExperimentConfig.from_doc(doc)
         assert ExperimentConfig.from_doc(doc, {"master_seed": 2**64 - 1}).master_seed == 2**64 - 1
 
+    def test_from_doc_rejects_uc_when_q_is_not_below_d(self):
+        doc = {**small_config().to_doc(), "q": 2}
+        with pytest.raises(ValueError, match=r"^measure 'uc' requires q < d, got q=2, d=2$"):
+            ExperimentConfig.from_doc(doc)
+        assert ExperimentConfig.from_doc(doc, {"measures": ["nodes", "sat"]}).q == 2
+
     def test_rejects_non_string_out(self):
         with pytest.raises(ValueError, match="out must be"):
             small_config(out=5)
@@ -145,6 +151,22 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].t == 0
         assert "skipping grid point t=-1" in capsys.readouterr().err
+
+    def test_point_over_the_row_budget_skipped(self, capsys, monkeypatch):
+        # one-bit words put n = 12 in W = 12 int32 words: 960 bytes of check
+        # rows at t = 10, over a budget of 500 that its 480 bytes of instance
+        # arrays fit
+        monkeypatch.setattr("gbcsp.backtracker.WORD_BITS", 1)
+        monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 500)
+        config = ExperimentConfig(n=12, d=2, k=3, q=1, t_grid=(0, 10), trials=2, master_seed=5,
+                                  measures=("nodes",))
+        assert [row.t for row in run_sweep(config)] == [0]
+        assert capsys.readouterr().err == ("skipping grid point t=10: t=10 needs 960 bytes of check rows "
+                                           "over W=12 prefix words, over the budget of 500\n")
+        # a uc sweep builds no check rows
+        rows = run_sweep(dataclasses.replace(config, measures=("uc",)))
+        assert [row.t for row in rows] == [0, 10]
+        assert capsys.readouterr().err == ""
 
     def test_jobs_do_not_change_results(self, capsys):
         serial = run_sweep(small_config(trials=6))
