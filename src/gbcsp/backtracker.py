@@ -25,9 +25,11 @@ and a count-only solve refuses no tree size.  Counts are Python ints and
 therefore exact at any size.
 
 Each prefix is W words of b = ceil(log2 d) bits per variable.  A word
-holds WORD_BITS // b whole fields, variables in order, its last variable at
-shift 0; as no field straddles two words, assigning a variable ORs one
-pre-shifted value into one word and a mask reads any field from one word.
+holds per = WORD_BITS // b whole fields, variables in order, its last
+variable at shift 0, so ``_layout`` is arithmetic on (n, d) with no cache and
+a solve builds each variable's word, v // per, and shift once.  As no field
+straddles two words, assigning a variable ORs one pre-shifted value into one
+word and a mask reads any field from one word.
 Word-major order is lexicographic order, and when n * b <= WORD_BITS the one
 word holds variable v at bits (n-1-v)*b.  Words are int32 when the widest
 word's fields take at most 31 bits, min(n, WORD_BITS // b) * b <= 31, and
@@ -64,12 +66,15 @@ prefix, which is inconsistent only when t >= 1 and q = d**k.
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
 concatenated, sorted and decoded.  Every solve, and ``harness.run_sweep``
 for each grid point it would solve, refuses an instance whose check rows
-(t * q of them when q < d) would pass ``generator.MAX_INSTANCE_BYTES``.
+(t * q of them when q < d) and per-variable state ((d + 1) * (s + 24) +
+28 * d bytes a variable for words of s bytes) would together pass
+``generator.MAX_INSTANCE_BYTES``.  ``check_solve_size`` works the charge out
+from the parameters alone, so even at n = 10**12 the refusal allocates
+nothing of size n.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,28 +105,24 @@ class SearchStats:
     solutions: tuple[tuple[int, ...], ...] | None = None
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(n: int, d: int, word_bits: int):
-    """(word, shift, dtype) of every variable: b = ceil(log2 d) bits per
-    field, word_bits // b whole fields per word, each word ending with its
-    last variable at shift 0, in int32 words when the widest word's fields
-    take at most 31 bits and int64 words otherwise."""
+def _layout(n: int, d: int):
+    """(b, per, W, dtype), worked out from (n, d) at call time: b = ceil(log2 d)
+    bits per field, per = WORD_BITS // b whole fields per word, W = ceil(n /
+    per) words, int32 when the widest word's fields take at most 31 bits and
+    int64 otherwise."""
     b = (d - 1).bit_length()
-    per = word_bits // b
-    word = np.arange(n) // per
-    dtype = np.int32 if min(n, per) * b <= 31 else np.int64
-    shift = ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
-    word.flags.writeable = shift.flags.writeable = False
-    return word, shift, dtype
+    per = WORD_BITS // b
+    return b, per, -(-n // per), np.int32 if min(n, per) * b <= 31 else np.int64
 
 
-def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray, dtype):
-    """Every check row, built from the scope and tuple arrays: (cuts, masks,
-    patterns), with the rows at depth i that rule out value v at
-    ``cuts[i*d+v]:cuts[i*d+v+1]`` of the R x W arrays ``masks`` and
-    ``patterns`` in the word dtype."""
+def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray):
+    """Every check row, built from the scope and tuple arrays and each
+    variable's ``word`` and ``shift``: (cuts, masks, patterns), with the rows
+    at depth i that rule out value v at ``cuts[i*d+v]:cuts[i*d+v+1]`` of the
+    R x W arrays ``masks`` and ``patterns`` in the word dtype."""
     params = inst.params
     n, d, k, q = params.n, params.d, params.k, params.q
+    b, _, words, dtype = _layout(n, d)
     by_var = np.argsort(inst.scopes, axis=1)
     rows = np.arange(len(by_var))[:, None]
     ordered = inst.scopes[rows, by_var]
@@ -148,11 +149,11 @@ def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray, dtype):
     # row (c, j, s) ORs the fields of sorted scope positions 0..j-1 into their words
     c, j, s = np.unravel_index(order[: cuts[-1]], digits.shape)
     var = ordered[c, : k - 1]
-    field = ((1 << (d - 1).bit_length()) - 1) << shift[var]
+    field = ((1 << b) - 1) << shift[var]
     digit = digits[c, : k - 1, s] << shift[var]
     if q >= d:  # zero the fields at and after a row's own position
         field, digit = (x * (np.arange(k - 1) < j[:, None]) for x in (field, digit))
-    masks, patterns = np.zeros((2, len(c), int(word[-1]) + 1), dtype)
+    masks, patterns = np.zeros((2, len(c), words), dtype)
     at = word[var] + masks.shape[1] * np.arange(len(c))[:, None]
     np.bitwise_or.at(masks.reshape(-1), at, field)
     np.bitwise_or.at(patterns.reshape(-1), at, digit)
@@ -160,21 +161,30 @@ def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray, dtype):
 
 
 def check_solve_size(params: Params) -> None:
-    """Refuse an instance whose check rows pass ``generator.MAX_INSTANCE_BYTES``:
-    W words of ``masks`` and of ``patterns`` for each row, of which a constraint
-    has at most floor(q / d**m) at sorted scope position k-1-m, m < k."""
+    """Refuse, from the parameters alone and so allocating nothing of size n,
+    a solve whose check rows and per-variable state together pass
+    ``generator.MAX_INSTANCE_BYTES``.  A row is W words of ``masks`` and of
+    ``patterns``, and a constraint has at most floor(q / d**m) rows at sorted
+    scope position k-1-m, m < k.  The state, built before the first block,
+    takes (d + 1) * (s + 24) + 28 * d bytes a variable for words of s bytes:
+    s for each of its d ``values`` and its shift, 8 for its word, 16 for its
+    level count and a copy of it, and 52 for each of its d ``cuts`` entries:
+    a list slot, a 28-byte int (ints above 256 are not shared), and the two
+    int64 arrays it is searched from or the two lists ``_depth_first`` zips
+    with it."""
     from .generator import MAX_INSTANCE_BYTES
 
-    word, _, dtype = _layout(params.n, params.d, WORD_BITS)
-    words = int(word[-1]) + 1
-    rows = params.t * sum(params.q // params.d**m for m in range(params.k))
-    size = rows * words * 2 * np.dtype(dtype).itemsize
-    if size > MAX_INSTANCE_BYTES:
-        raise ValueError(f"t={params.t} needs {size} bytes of check rows over W={words} prefix words, "
-                         f"over the budget of {MAX_INSTANCE_BYTES}")
+    n, d = params.n, params.d
+    _, _, words, dtype = _layout(n, d)
+    size = np.dtype(dtype).itemsize
+    rows = params.t * sum(params.q // d**m for m in range(params.k)) * words * 2 * size
+    state = n * ((d + 1) * (size + 24) + 28 * d)
+    if rows + state > MAX_INSTANCE_BYTES:
+        raise ValueError(f"t={params.t} needs {rows} bytes of check rows over W={words} prefix words "
+                         f"and {state} bytes of per-variable state, over the budget of {MAX_INSTANCE_BYTES}")
 
 
-def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list[int], tables,
+def _depth_first(params: Params, per: int, values: np.ndarray, slot: list[int], tables,
                  collect: bool):
     """Walk the consistent tree depth first in blocks of at most BLOCK_ROWS
     prefixes from the empty prefix.  A block at depth i, a list of word
@@ -182,7 +192,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
     patterns) at depth i: a parent matches a row when ``word & mask`` equals
     the pattern in every word, and then its child with the row's value v is
     marked in ``killed`` row ``slot[v]``.  The rest are built value-major,
-    each of ``values[i]`` ORed into variable i's word ``word[i]``; at the
+    each of ``values[i]`` ORed into variable i's word i // ``per``; at the
     last depth a count-only walk just counts them.  Every word array has
     the dtype of ``values``.
 
@@ -222,7 +232,7 @@ def _depth_first(params: Params, word: list[int], values: np.ndarray, slot: list
         if depth + 1 == n and not collect:
             level_counts[n] += d * size - int(np.count_nonzero(killed))
             continue
-        w = word[depth]
+        w = depth // per
         # a variable that opens a new word is ORed into a zero word
         own = parent[w] if w < len(parent) else np.zeros(size, dtype=values.dtype)
         nxt = [np.broadcast_to(x, (d, size)) for x in parent[:w]] + [own | values[depth][:, None]]
@@ -262,21 +272,21 @@ def solve_all(inst: Instance, collect: bool = False, value_order=None) -> Search
     order = list(range(d)) if value_order is None else list(value_order)
     if sorted(order) != list(range(d)):
         raise ValueError("value_order must be a permutation of range(d)")
-    word_of, shift_of, dtype = _layout(n, d, WORD_BITS)
-    b = (d - 1).bit_length()
-    # values[i]: each value of variable i, in visit order, in its field
-    values = (np.asarray(order) << shift_of[:, None]).astype(dtype)
-    slot = np.argsort(order).tolist()
     check_solve_size(inst.params)
-    tables = _tables(inst, word_of, shift_of, dtype)
-    word = word_of.tolist()
-    nodes, level_counts, found = _depth_first(inst.params, word, values, slot, tables, collect)
+    b, per, words, dtype = _layout(n, d)
+    word = np.arange(n) // per
+    shift = ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
+    # values[i]: each value of variable i, in visit order, in its field
+    values = (np.asarray(order) << shift[:, None]).astype(dtype)
+    slot = np.argsort(order).tolist()
+    tables = _tables(inst, word, shift)
+    nodes, level_counts, found = _depth_first(inst.params, per, values, slot, tables, collect)
     solutions = None
     if collect:
         # Word-major order is lexicographic order: sort on word 0 first.
-        words = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, dtype)] * (word[-1] + 1)
-        codes = np.stack(words, axis=1)[np.lexsort(words[::-1])]
-        fields = (codes[:, word_of] >> shift_of) & ((1 << b) - 1)
+        cols = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, dtype)] * words
+        codes = np.stack(cols, axis=1)[np.lexsort(cols[::-1])]
+        fields = (codes[:, word] >> shift) & ((1 << b) - 1)
         solutions = tuple(tuple(row) for row in fields.tolist())
     return SearchStats(
         nodes=nodes,

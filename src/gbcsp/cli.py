@@ -224,8 +224,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"gbcsp {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"gbcsp {args.command}: error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -32,8 +32,12 @@ def chain(n, d, extra_t=0):
 
 
 def layout(inst):
-    """Word and shift of each variable of ``inst`` in the solver's layout."""
-    return backtracker._layout(inst.params.n, inst.params.d, backtracker.WORD_BITS)
+    """Word and shift of each variable of ``inst`` in the solver's layout,
+    worked out from ``_layout``'s scalars as ``solve_all`` does."""
+    n = inst.params.n
+    b, per, _, dtype = backtracker._layout(n, inst.params.d)
+    word = np.arange(n) // per
+    return word, ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
 
 
 def word_count(inst):
@@ -46,8 +50,8 @@ def spy_dtypes(monkeypatch):
     seen = []
     depth_first = backtracker._depth_first
 
-    def spy(params, word, values, slot, tables, collect):
-        nodes, counts, found = depth_first(params, word, values, slot, tables, collect)
+    def spy(params, per, values, slot, tables, collect):
+        nodes, counts, found = depth_first(params, per, values, slot, tables, collect)
         seen.extend([values.dtype] + [x.dtype for block in found for x in block])
         return nodes, counts, found
 
@@ -347,9 +351,10 @@ def test_level_budget_is_checked_before_allocating(n, words, monkeypatch):
 
 def test_check_fields_are_charged_before_allocating(monkeypatch):
     """solve_all charges the check rows, t * q of them for a strict
-    instance, each W words of ``masks`` and ``patterns``, against
-    MAX_INSTANCE_BYTES before building them.  A budget of two int64 words a
-    row refuses n = 64 (W = 2 int64 words) and passes n = 10 (one int32)."""
+    instance, each W words of ``masks`` and ``patterns``, and the
+    per-variable state against MAX_INSTANCE_BYTES before building them.  A
+    budget of two int64 words a row refuses n = 64 (W = 2 int64 words) and
+    passes n = 10 (one int32)."""
     t = 20_000
     wide = sample_instance(Params(n=64, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
     narrow = sample_instance(Params(n=10, d=2, k=3, t=t, q=1), SeedSpec(3, 0))
@@ -360,7 +365,8 @@ def test_check_fields_are_charged_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^t={t} needs {2 * budget} bytes of check rows "
-                                             f"over W=2 prefix words, over the budget of {budget}$"):
+                                             "over W=2 prefix words and 9728 bytes of per-variable state, "
+                                             f"over the budget of {budget}$"):
             solve_all(wide)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -371,9 +377,10 @@ def test_check_fields_are_charged_before_allocating(monkeypatch):
 
 
 def test_charge_is_the_rows_bound(monkeypatch):
-    """check_solve_size charges rows_bound * W * 2 * itemsize bytes, where
-    rows_bound = t * sum_{m<k} floor(q / d**m) is at least the R rows
-    ``_tables`` builds, and equal to R when q < d."""
+    """check_solve_size charges rows_bound * W * 2 * itemsize bytes of rows,
+    where rows_bound = t * sum_{m<k} floor(q / d**m) is at least the R rows
+    ``_tables`` builds, and equal to R when q < d, plus (d + 1) *
+    (itemsize + 24) + 28 * d bytes of state per variable."""
     stream = SeedSpec(95, 0).stream("charge")
     budget = generator.MAX_INSTANCE_BYTES
     strict = 0
@@ -392,14 +399,51 @@ def test_charge_is_the_rows_bound(monkeypatch):
         if q < d:
             assert rows_bound == len(masks)
             strict += 1
-        charge = rows_bound * word_count(inst) * 2 * masks.itemsize
+        rows = rows_bound * word_count(inst) * 2 * masks.itemsize
+        charge = rows + n * ((d + 1) * (masks.itemsize + 24) + 28 * d)
         monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", charge)
         backtracker.check_solve_size(params)
         monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", charge - 1)
-        with pytest.raises(ValueError, match=f"^t={params.t} needs {charge} bytes of check rows "):
+        with pytest.raises(ValueError, match=f"^t={params.t} needs {rows} bytes of check rows "):
             backtracker.check_solve_size(params)
         monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
     assert strict >= 80
+
+
+def test_charge_at_a_huge_n_allocates_nothing():
+    params = Params(n=10**12, d=2, k=3, t=4, q=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            backtracker.check_solve_size(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # W = 15,873,015,874 int64 words; (d + 1) * (8 + 24) + 28 * d = 152 bytes a variable
+    assert str(refused.value) == ("t=4 needs 1015873015936 bytes of check rows over W=15873015874 "
+                                  "prefix words and 152000000000000 bytes of per-variable state, "
+                                  "over the budget of 268435456")
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("d, t", [(2, 1), (3, 1), (5, 1), (9, 1), (2, 200)])
+def test_charge_covers_a_solve_traced_peak(d, t, monkeypatch):
+    """At n = 10**5 and q = d**2 every constraint forbids every tuple, so the
+    tree is the root alone and a solve's traced peak is its check rows and
+    its per-variable state; at t = 200 the 1,200 rows put cuts entries above
+    256.  The charge refuses any budget below that peak."""
+    inst = sample_instance(Params(n=10**5, d=d, k=2, t=t, q=d * d), SeedSpec(4, t))
+    peaks = []
+    for collect in (False, True):
+        tracemalloc.start()
+        try:
+            assert solve_all(inst, collect=collect).nodes == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", max(peaks) - 1)
+    with pytest.raises(ValueError, match="bytes of per-variable state"):
+        backtracker.check_solve_size(inst.params)
 
 
 def test_tables_peak_is_the_rows():
@@ -479,7 +523,7 @@ def canonical_tables(tables, inst):
     assert len(cuts) == n * d + 1 and cuts[0] == 0 and cuts[-1] == len(masks) == len(patterns)
     assert masks.shape == patterns.shape == (len(masks), word_count(inst))
     assert not (patterns & ~masks).any()
-    word_of, shift_of, _ = layout(inst)
+    word_of, shift_of = layout(inst)
     field = (1 << (d - 1).bit_length()) - 1
     canonical = []
     for i in range(n):

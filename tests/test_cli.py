@@ -276,15 +276,16 @@ def test_solve_over_budget_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_refuses_check_fields_over_budget(tmp_path, capsys, monkeypatch):
-    # n = 64 takes W = 2 int64 prefix words: 64,000 bytes of check rows
+    # n = 64 takes W = 2 int64 prefix words: 64,000 bytes of check rows and
+    # 9,728 of per-variable state
     path = tmp_path / "inst.json"
     run(capsys, "generate", "--n", "64", "--d", "2", "--k", "3", "--t", "2000", "--q", "1",
         "--seed", "3", "--out", str(path))
     monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 32_000)
     code, out, err = run(capsys, "solve", "--in", str(path))
     assert (code, out) == (2, "")
-    assert err == ("gbcsp solve: error: t=2000 needs 64000 bytes of check rows over W=2 prefix words, "
-                   "over the budget of 32000\n")
+    assert err == ("gbcsp solve: error: t=2000 needs 64000 bytes of check rows over W=2 prefix words "
+                   "and 9728 bytes of per-variable state, over the budget of 32000\n")
 
 
 HUGE_T = 10**20
@@ -360,15 +361,51 @@ def test_sweep_refuses_a_bad_seed_before_any_point(capsys, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_skips_a_point_over_the_row_budget(capsys, jobs):
-    # W = 159 int64 words: 120,000 rows take 305,280,000 bytes, over 2**28;
-    # the instance's own arrays, 5,760,000 bytes, are never drawn
+    # W = 159 int64 words: 120,000 rows take 305,280,000 bytes, over 2**28
+    # with the 1,520,000 bytes of per-variable state; the instance's own
+    # arrays, 5,760,000 bytes, are never drawn
     (code, out, err), peak = traced_run(capsys, "sweep", "--n", "10000", "--d", "2", "--k", "3",
                                         "--q", "1", "--t-grid", "120000", "--trials", "2",
                                         "--seed", "1", "--jobs", jobs)
     assert (code, out) == (1, "")
     assert err == ("skipping grid point t=120000: t=120000 needs 305280000 bytes of check rows "
-                   "over W=159 prefix words, over the budget of 268435456\nno valid grid points\n")
+                   "over W=159 prefix words and 1520000 bytes of per-variable state, "
+                   "over the budget of 268435456\nno valid grid points\n")
     assert peak < 2**20
+
+
+def test_solve_and_sweep_refuse_a_huge_n_in_one_line(tmp_path, capsys):
+    # n = 10**12: the solver's charge is worked out from the parameters, so
+    # neither command builds anything of size n before refusing
+    path = tmp_path / "inst.json"
+    huge = ["--n", str(10**12), "--d", "2", "--k", "3", "--q", "1", "--seed", "1"]
+    (code, out, err), peak = traced_run(capsys, "generate", *huge, "--t", "4", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert peak < 2**20
+    (code, out, err), peak = traced_run(capsys, "solve", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("gbcsp solve: error: t=4 needs ") and err.count("\n") == 1
+    assert peak < 2**20
+    (code, out, err), peak = traced_run(capsys, "sweep", *huge, "--t-grid", "4", "--trials", "1",
+                                        "--jobs", "1")
+    assert (code, out) == (1, "")
+    skipped, rest = err.split("\n", 1)
+    assert skipped.startswith("skipping grid point t=4: t=4 needs ")
+    assert rest == "no valid grid points\n"
+    assert peak < 2**20
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def predict(params, tol):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                          "and data type float64")
+
+    monkeypatch.setattr(analytics, "predict", predict)
+    code, out, err = run(capsys, "predict", "--n", str(10**12), "--d", "2", "--k", "3", "--t", "4",
+                         "--q", "1")
+    assert (code, out) == (2, "")
+    assert err == ("gbcsp predict: error: out of memory: Unable to allocate 7.28 TiB for an array "
+                   "with shape (1000000000000,) and data type float64\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

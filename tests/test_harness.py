@@ -154,15 +154,17 @@ class TestSweep:
 
     def test_point_over_the_row_budget_skipped(self, capsys, monkeypatch):
         # one-bit words put n = 12 in W = 12 int32 words: 960 bytes of check
-        # rows at t = 10, over a budget of 500 that its 480 bytes of instance
+        # rows at t = 10 on top of 1,680 bytes of per-variable state, over a
+        # budget of 2,180 that the state alone and the 480 bytes of instance
         # arrays fit
         monkeypatch.setattr("gbcsp.backtracker.WORD_BITS", 1)
-        monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 500)
+        monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 2180)
         config = ExperimentConfig(n=12, d=2, k=3, q=1, t_grid=(0, 10), trials=2, master_seed=5,
                                   measures=("nodes",))
         assert [row.t for row in run_sweep(config)] == [0]
         assert capsys.readouterr().err == ("skipping grid point t=10: t=10 needs 960 bytes of check rows "
-                                           "over W=12 prefix words, over the budget of 500\n")
+                                           "over W=12 prefix words and 1680 bytes of per-variable state, "
+                                           "over the budget of 2180\n")
         # a uc sweep builds no check rows
         rows = run_sweep(dataclasses.replace(config, measures=("uc",)))
         assert [row.t for row in rows] == [0, 10]
