@@ -11,12 +11,17 @@ Exact quantities
     (D P(n,k) - q P(i,k)) / (D P(n,k)), with D = d**k and P the falling
     factorial, so it equals float(extend_probability(i)) bit for bit.
     While D P(n,k) < 2**53 both sides of each division are exact doubles
-    and numpy divides them; past that guard Python ints do.  Every term is
-    logged and exponentiated by math.log and math.exp, on a window of
-    levels only: a term more than 746 nats below the largest has
-    math.exp == 0.0, so numpy's logs, a few ulps off, pick the levels
-    within 747 nats and supply no value.  The exps are summed exactly in
-    integers and rounded once, as math.fsum rounds.
+    and numpy divides them; past that guard Python ints do.  Every summed
+    term is logged and exponentiated by math.log and math.exp, and the exps
+    are summed exactly in integers and rounded once, as math.fsum rounds;
+    but only the levels whose terms can move that rounded sum are
+    evaluated.  An approximate pass over every level, with float survivals
+    and numpy's log1p, picks the levels within CUT = 64 nats of the largest
+    term, plus a margin over its rounding error; only those levels get an
+    exact survival.  Each level left out would add less than 2**-88 to the
+    sum, and when that tail cannot move the rounded sum the result is the
+    full sum's; otherwise the same code runs again on 747 nats, past which
+    math.exp is 0.0.
   * log_expected_solutions: ln of d**n * (1-p)**t.
 
 Thresholds
@@ -121,61 +126,99 @@ def extend_probability(i: int, params: Params) -> Fraction:
     return Fraction(den - params.q * math.perm(i, params.k), den)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Sum of a float64 array of fewer than 2**29 finite non-negative values,
-    correctly rounded (half to even), so equal to math.fsum of the values.
+CUT = 64.0  # nats below the largest term that the first pass sums
+WIDE_CUT = 747.0  # more than 746 nats below the largest term, math.exp is 0.0
+_ONE = 1 << 1074  # 1.0 in _exact_sum's unit of 2**-1074
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """Exact sum of a float64 array of fewer than 2**29 finite non-negative
+    values, as an int count of 2**-1074; its true division by 2**1074
+    rounds once (half to even), as math.fsum rounds the values' sum.
 
     Each value is an integer mantissa below 2**53 times 2**(s - 1074) with
     s in [0, 2046).  The two halves of each mantissa, shifted by s mod 8,
-    are summed exactly in int64 per bucket s // 8; the buckets are folded
-    into one Python int, whose true division by 2**1074 rounds once.
+    are summed exactly in int64 per bucket s // 8, and the buckets are
+    folded into one Python int.
     """
-    bits = values.view(np.uint64)
-    field = (bits >> 52).astype(np.int64)
-    mant = (bits & ((1 << 52) - 1)).astype(np.int64)
-    mant[field > 0] += 1 << 52  # the implicit bit of normal numbers
-    shift = np.maximum(field, 1) - 1
+    bits = values.view(np.int64)
+    field = bits >> 52
+    normal = np.minimum(field, 1)
+    mant = bits & ((1 << 52) - 1) | normal << 52  # the implicit bit of normal numbers
+    shift = field - normal
     bucket, fine = shift >> 3, shift & 7
     base = int(bucket.min())
-    bucket -= base
     lows = np.zeros(int(bucket.max()) + 1, dtype=np.int64)
     highs = np.zeros_like(lows)
     np.add.at(lows, bucket, (mant & ((1 << 26) - 1)) << fine)
     np.add.at(highs, bucket, (mant >> 26) << fine)
     total = 0
-    for high, low in zip(highs[::-1].tolist(), lows[::-1].tolist()):
+    for high, low in zip(highs[base:][::-1].tolist(), lows[base:][::-1].tolist()):
         total = (total << 8) + (high << 26) + low
-    return (total << 8 * base) / (1 << 1074)
+    return total << 8 * base
 
 
-def _log_node_sum(d: float, t: float, survivals: np.ndarray) -> float:
-    """ln(1 + sum_i d**(i+1) * g_i**t) over a float64 array of per-level
-    survivals g_i, by one log-sum-exp over the n+1 terms
-    x_j = j ln d + t ln g_{j-1} (x_0 = 0), as m + ln(sum_j exp(x_j - m))
-    with m the largest term.
+def _log_node_sum(d: float, k: int, p: float, n: int, t: float, survivals) -> float:
+    """ln(1 + sum_i d**(i+1) * g_i**t) over the survivals g_i of the n
+    levels, as m + ln(sum_j exp(x_j - m)) over the n+1 terms
+    x_j = j ln d + t ln g_{j-1} (x_0 = 0), with m the largest term.
+    survivals(i) returns g_i at an int64 array of levels i; term j takes
+    level j - 1, and term 0 takes level 0, whose survival is 1.0.
 
-    Every value that is logged or exponentiated goes through math.log and
-    math.exp, and the rest is IEEE arithmetic, so each kept term equals the
-    Python float expression j * ln d + t * math.log(g) bit for bit.  A term with x_j - m < -746 has
-    math.exp(x_j - m) == 0.0 and adds nothing to the sum, so libm runs only
-    on the levels whose term, taken with numpy's log, is at least the
-    largest such term less 747 nats (less 1e-9 of its size besides).
-    numpy's log is a few ulps off, which moves a term by far less than the
-    one nat of margin while t * |ln g| stays below about 1e15: every level
-    whose exp is not 0.0 is kept, the largest term's included, and numpy's
-    logs supply no value.  _exact_sum then rounds the sum as math.fsum does.
+    Every summed term is the float expression j * ln d + t * math.log(g)
+    and every exp is math.exp(x_j - m).  The exps are summed exactly in
+    integers and rounded once, so the result is that of math.fsum over all
+    n+1 exps, bit for bit, while only a window of levels is evaluated:
+
+    * An approximate pass over all n+1 terms, in two float64 arrays, takes
+      numpy's log1p of -i (p/n) prod_{l>0} (i - l)/(n - l) at level
+      i = j - 1.  Its term is within e = 2**-53 * (t * (4k + 11) + 2 n ln d)
+      nats of the exact one.  On strict parameters p P(i,k)/P(n,k) < 1/2 <
+      g, so each pass's ln g is within (2k + 1) ulps of 1 of the true one:
+      p P(i,k)/P(n,k) takes at most 2k + 1 roundings, and 1 - p P(i,k)/P(n,k)
+      one more in the exact pass.  numpy's log1p is allowed 4 ulps and
+      math.log 1, and the product by t and the final sum round once in each
+      pass.
+    * Only the levels whose approximate term is at least the largest
+      approximate term less cut + margin, margin = 2**-50 * (t * (k + 8) +
+      n ln d) > 2e, get their exact survival, math.log and math.exp.  So
+      the largest exact term is among them, and m is the same at any cut,
+      and every level left out has x_j - m < -cut.
+    * The first pass takes cut = CUT (64 nats).  Each of the L levels left
+      out would add less than e**(3 - cut) <= 2**-b to the sum,
+      b = floor((cut - 3) / ln 2), so the full sum lies in [P, P + L 2**-b]
+      with P the exact partial sum.  Rounding to nearest is monotone, so if
+      both ends round to the same double, that double is the full sum's.
+    * Otherwise the same code runs again at WIDE_CUT (747 nats), past which
+      math.exp(x_j - m) == 0.0: every level whose exp is not 0.0 is summed.
     """
     ln_d = math.log(d)
     t = float(t)
-    g = np.concatenate(([1.0], survivals))
-    approx = np.arange(len(g)) * ln_d + t * np.log(g)
+    approx = np.arange(-1.0, n)  # level i = j - 1 of term j
+    g = approx * (-p / n)
+    for j in range(1, k):
+        approx -= 1.0
+        g *= approx
+        g /= n - j
+    np.log1p(g, out=g)
+    g *= t
+    approx += k
+    approx *= ln_d
+    approx += g
+    del g
+    approx[0] = 0.0
     top = float(approx.max())
-    levels = np.flatnonzero(approx >= top - 747.0 - 1e-9 * abs(top))
-    logs = np.array(list(map(math.log, g[levels].tolist())))
-    terms = levels * ln_d + t * logs
-    m = float(terms.max())
-    exps = np.array(list(map(math.exp, (terms - m).tolist())))
-    return m + math.log(_exact_sum(exps))
+    margin = 2.0**-50 * (t * (k + 8) + n * ln_d)
+    for cut in (CUT, WIDE_CUT):
+        levels = np.flatnonzero(approx >= top - cut - margin)
+        g = survivals(np.maximum(levels - 1, 0))
+        logs = np.fromiter(map(math.log, g.tolist()), np.float64, len(g))
+        terms = levels * ln_d + t * logs
+        m = float(terms.max())
+        total = _exact_sum(np.fromiter(map(math.exp, (terms - m).tolist()), np.float64, len(levels)))
+        tail = (n + 1 - len(levels)) << 1074 - math.floor((cut - 3.0) / math.log(2.0))
+        if cut == WIDE_CUT or total / _ONE == (total + tail) / _ONE:
+            return m + math.log(total / _ONE)
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -186,36 +229,44 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_exact_expected_nodes(params: Params) -> float:
-    """ln(1 + d * sum_{i<n} d**i * g_i**t), each g_i correctly rounded: in
-    numpy while den = d**k * P(n, k) < 2**53, so that den and every
-    numerator den - q P(i, k) are exact doubles, and from Python ints past
-    that guard."""
-    if not params.strict:
-        raise RegimeError(f"expected-node formula needs q < d, got q={params.q}, d={params.d}")
+def _survivals(params: Params, i: np.ndarray) -> np.ndarray:
+    """g_i at an int64 array of levels i, each the correctly rounded int/int
+    true division (den - q P(i, k)) / den with den = d**k * P(n, k): in
+    int64 numpy while den < 2**53, so that den and every numerator are
+    exact doubles, and from Python ints past that guard."""
     n, k, q = params.n, params.k, params.q
     den = params.d**k * math.perm(n, k)
     if den < 1 << 53:
-        falling = np.ones(n, dtype=np.int64)
-        levels = np.arange(n, dtype=np.int64)
-        for j in range(k):
-            falling *= levels - j
-        survivals = (den - q * falling) / den
-    else:
-        quotients = ((den - q * math.perm(i, k)) / den for i in range(n))
-        survivals = np.fromiter(quotients, np.float64, n)
-    return _log_node_sum(params.d, params.t, survivals)
+        falling = i * (i - 1)
+        for j in range(2, k):
+            falling *= i - j
+        return (den - q * falling) / den
+    return np.array([(den - q * math.perm(x, k)) / den for x in i.tolist()])
+
+
+def log_exact_expected_nodes(params: Params) -> float:
+    """ln(1 + d * sum_{i<n} d**i * g_i**t), each g_i correctly rounded as
+    _survivals gives it, on the window of levels _log_node_sum picks."""
+    if not params.strict:
+        raise RegimeError(f"expected-node formula needs q < d, got q={params.q}, d={params.d}")
+    return _log_node_sum(
+        params.d, params.k, params.p, params.n, params.t, lambda i: _survivals(params, i)
+    )
 
 
 def log_exact_expected_nodes_at(n: int, ap: AnalyticParams) -> float:
     """Same sum with a real-valued constraint count t = r * n; level i's
     survival is 1 - p * prod_j (i - j) / (n - j) in floats, the product
     taken from 1.0 in the order j = 0, ..., k - 1."""
-    levels = np.arange(n, dtype=np.float64)
-    prod = np.ones(n)
-    for j in range(ap.k):
-        prod *= (levels - j) / (n - j)
-    return _log_node_sum(ap.d, ap.r * n, 1.0 - ap.p * prod)
+
+    def survivals(i):
+        levels = i.astype(np.float64)
+        prod = np.ones(len(i))
+        for j in range(ap.k):
+            prod *= (levels - j) / (n - j)
+        return 1.0 - ap.p * prod
+
+    return _log_node_sum(ap.d, ap.k, ap.p, n, ap.r * n, survivals)
 
 
 def log_expected_solutions(params: Params) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -492,7 +493,7 @@ EXACT_SUM_CASES = [
 
 @pytest.mark.parametrize("values", EXACT_SUM_CASES, ids=range(len(EXACT_SUM_CASES)))
 def test_exact_sum_rounds_as_fsum(values):
-    assert analytics._exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+    assert analytics._exact_sum(np.array(values, dtype=np.float64)) / 2**1074 == math.fsum(values)
 
 
 def test_exact_sum_matches_fsum_on_random_spans():
@@ -502,4 +503,138 @@ def test_exact_sum_matches_fsum_on_random_spans():
             math.ldexp(rng.getrandbits(53), rng.randint(-1126, -53))
             for _ in range(rng.randint(1, 400))
         ]
-        assert analytics._exact_sum(np.array(values)) == math.fsum(values)
+        assert analytics._exact_sum(np.array(values)) / 2**1074 == math.fsum(values)
+
+
+# --- the certified narrow window ---------------------------------------------
+
+
+def _random_strict_set(rng):
+    """A random strict (d, k, q) up to d = k = 6, so both sides of the 2**53
+    guard occur at small n, with t = 0 or t in one of the three regimes."""
+    d, k = rng.randint(2, 6), rng.randint(2, 6)
+    q = rng.randint(1, d - 1)
+    n = rng.choice((k, rng.randint(k, 60), rng.randint(k, 400), rng.randint(k, 2500)))
+    mult = rng.choice((0.0, rng.uniform(0.2, 0.9), 1.0, rng.uniform(0.999, 1.001), rng.uniform(1.1, 20.0)))
+    return _regime_params(n, d, k, q, mult) if mult else Params(n=n, d=d, k=k, t=0, q=q)
+
+
+def _random_analytic_set(rng):
+    d, k = rng.randint(2, 6), rng.randint(2, 6)
+    p = rng.uniform(0.01, 0.99) * d ** (1 - k)
+    r0 = r_regime_boundary(d, k, p)
+    r = rng.choice((r0, rng.uniform(0.1, 0.99) * r0, rng.uniform(1.01, 5.0) * r0))
+    n = rng.choice((k, rng.randint(k, 60), rng.randint(k, 2500)))
+    return n, AnalyticParams(float(d), k, p, r)
+
+
+def _scalar_log_nodes_at(n, ap):
+    survivals = (extend_probability_float(i, n, ap.k, ap.p) for i in range(n))
+    return _scalar_log_node_sum(ap.d, ap.r * n, survivals)
+
+
+def _count_passes(monkeypatch):
+    """Record the number of exps each window pass sums."""
+    passes = []
+    exact_sum = analytics._exact_sum
+
+    def spy(values):
+        passes.append(len(values))
+        return exact_sum(values)
+
+    monkeypatch.setattr(analytics, "_exact_sum", spy)
+    return passes
+
+
+def test_narrow_window_matches_scalar_loop_on_random_sets(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    rng = random.Random(1705)
+    regimes, guard_sides, reruns = set(), set(), 0
+    for _ in range(4000):
+        params = _random_strict_set(rng)
+        if params.t:
+            regimes.add(classify_regime(AnalyticParams.from_params(params), band=1e-3))
+        else:
+            regimes.add("no constraints")
+        guard_sides.add(params.d**params.k * math.perm(params.n, params.k) < 2**53)
+        passes.clear()
+        assert log_exact_expected_nodes(params) == _scalar_log_nodes(params), params
+        reruns += len(passes) - 1
+    for _ in range(1000):
+        n, ap = _random_analytic_set(rng)
+        regimes.add(classify_regime(ap))
+        passes.clear()
+        assert log_exact_expected_nodes_at(n, ap) == _scalar_log_nodes_at(n, ap), (n, ap)
+        reruns += len(passes) - 1
+    assert regimes == {"subcritical", "critical", "supercritical", "no constraints"}
+    assert guard_sides == {True, False}
+    # the 747-nat pass is a rare fallback, not the common path
+    assert reruns <= 5
+
+
+@pytest.mark.parametrize("cut", [8.0, 4.0])
+def test_narrow_cut_falls_back_to_the_wide_window(monkeypatch, cut):
+    # the tail bound is worked out from the cut, so a narrower cut keeps it
+    # sound and only makes it fail more often
+    monkeypatch.setattr(analytics, "CUT", cut)
+    passes = _count_passes(monkeypatch)
+    rng = random.Random(1706)
+    certified = fallbacks = 0
+    for case in range(300):
+        passes.clear()
+        if case % 3:
+            params = _random_strict_set(rng)
+            assert log_exact_expected_nodes(params) == _scalar_log_nodes(params), params
+        else:
+            n, ap = _random_analytic_set(rng)
+            assert log_exact_expected_nodes_at(n, ap) == _scalar_log_nodes_at(n, ap), (n, ap)
+        assert len(passes) in (1, 2)
+        certified += len(passes) == 1
+        fallbacks += len(passes) == 2
+    assert fallbacks >= 100 and certified >= 10
+
+
+def _survival_spy(monkeypatch):
+    counts = []
+    survivals = analytics._survivals
+
+    def spy(params, i):
+        counts.append(len(i))
+        return survivals(params, i)
+
+    monkeypatch.setattr(analytics, "_survivals", spy)
+    return counts
+
+
+@pytest.mark.parametrize("mult,pinned", [(0.5, 585165.6567374873), (2.0, 344805.80526309833)])
+def test_exact_survivals_only_on_the_window_past_the_guard(monkeypatch, mult, pinned):
+    n = 10**6
+    params = _regime_params(n, 2, 3, 1, mult)
+    assert 2**3 * math.perm(n, 3) >= 2**53
+    counts = _survival_spy(monkeypatch)
+    assert log_exact_expected_nodes(params) == pinned
+    assert 0 < sum(counts) < n // 10
+
+
+def test_node_sum_holds_two_arrays_of_the_levels():
+    n = 10**6
+    params = _regime_params(n, 2, 3, 1, 2.0)
+    tracemalloc.start()
+    try:
+        log_exact_expected_nodes(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 8 * (n + 1)
+
+
+def test_asymptote_error_is_order_one_over_n():
+    # the paper's estimate is good to 1 + o(1); here that o(1) is c / n, with
+    # c about -7.19 below r0 and -0.2504 above it
+    for mult, c in ((0.5, -7.19), (2.0, -0.2504)):
+        scaled = []
+        for n in (10**4, 10**5, 10**6):
+            pred = predict(_regime_params(n, 2, 3, 1, mult))
+            scaled.append(n * (pred.log_T_exact - pred.log_T_asym))
+        assert max(scaled) - min(scaled) < 0.01 * abs(c), (mult, scaled)
+        assert all(abs(s - c) < 0.01 * abs(c) for s in scaled), (mult, scaled)
