@@ -25,7 +25,7 @@ from .backtracker import check_solve_size, solve_all
 from .generator import check_instance_size, sample_instance
 from .model import Params, require_int
 from .rng import SeedSpec
-from .uc import run_uc
+from .uc import check_uc_size, run_uc
 
 CSV_HEADER = "t,r,trials,mean_nodes,stderr_nodes,sat_fraction,uc_success,log_T_exact,log_T_asym,z_score"
 
@@ -194,6 +194,8 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
             check_instance_size(params)
             if "nodes" in config.measures or "sat" in config.measures:
                 check_solve_size(params)
+            if "uc" in config.measures:
+                check_uc_size(params)
             points.append(params)
         except (ValueError, TypeError) as exc:
             print(f"skipping grid point t={t}: {exc}", file=sys.stderr)

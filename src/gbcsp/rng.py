@@ -11,6 +11,9 @@ trial (e.g. instance draws vs. solver randomness).
 Bounded integers are drawn by rejection sampling on whole 64-bit words,
 which is exactly uniform for any bound up to 2**64; larger bounds are
 refused (no caller needs one: ranks and variable indices are 64-bit).
+``below`` holds the rule for any source of words: ``Stream.randbelow``
+feeds it one ``next_u64`` at a time, the unit-constraint heuristic blocks
+of ``next_block``.
 
 SplitMix64 is counter-based: its state advances by the odd constant GAMMA
 on every word, so word j after state s0 is ``mix(s0 + (j+1)*GAMMA mod
@@ -21,6 +24,7 @@ on every word, so word j after state s0 is ``mix(s0 + (j+1)*GAMMA mod
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,9 @@ _MASK64 = _SPAN64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+# next_block's constants as numpy scalars, made once rather than per call
+_GAMMA_U, _MULT1_U, _MULT2_U = np.uint64(_GAMMA), np.uint64(_MULT1), np.uint64(_MULT2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class Stream:
@@ -50,27 +57,35 @@ class Stream:
         """The next ``count`` words as a uint64 array, equal to ``count``
         calls of next_u64 (uint64 arithmetic wraps exactly like the mask)."""
         z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
+        z *= _GAMMA_U
         z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MULT1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MULT2)
-        z ^= z >> np.uint64(31)
+        z ^= z >> _S30
+        z *= _MULT1_U
+        z ^= z >> _S27
+        z *= _MULT2_U
+        z ^= z >> _S31
         return z
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound); unbiased for 0 < bound <= 2**64."""
-        if 1 < bound <= _SPAN64:
-            limit = _SPAN64 - _SPAN64 % bound  # largest multiple of bound <= 2**64
-            u = self.next_u64()
-            while u >= limit:
-                u = self.next_u64()
-            return u % bound
-        if bound == 1:
-            return 0
-        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+        return below(bound, iter(self.next_u64, None))
+
+
+def below(bound: int, words: Iterator[int]) -> int:
+    """Uniform integer in [0, bound) from the 64-bit words of ``words``:
+    the first word under the largest multiple of bound <= 2**64, mod bound.
+    A bound of 1 takes no word, and a bound outside [1, 2**64] is refused
+    before one is taken."""
+    if 1 < bound <= _SPAN64:
+        limit = _SPAN64 - _SPAN64 % bound
+        for u in words:
+            if u < limit:
+                return u % bound
+        raise ValueError("the word source ran out")
+    if bound == 1:
+        return 0
+    raise ValueError(f"bound must be in [1, 2**64], got {bound}")
 
 
 @dataclass(frozen=True)

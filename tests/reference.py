@@ -16,6 +16,10 @@ Python, and shares no code with the path it checks:
 - ``_check_at_depth`` works out a constraint's blocking subcodes one tuple
   at a time; it shares no code with the solver's ``_tables`` (nor with
   ``model.is_violated``, the brute-force oracle's predicate).
+- ``reference_run_uc`` is the unit-constraint heuristic on the earlier
+  state: a dict of assigned values, a per-tuple digit loop in the
+  reduction and one scalar ``next_u64`` word at a time with its own
+  rejection loop.  ``uc.run_uc`` must give the same outcomes draw for draw.
 
 ``one_constraint`` builds the one-constraint instances several test files
 use.
@@ -24,12 +28,17 @@ use.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from gbcsp.analytics import extend_probability
 from gbcsp.harness import _FIELDS, CSV_HEADER, SummaryRow
-from gbcsp.model import ConstraintSpec, Instance, Params
-from gbcsp.rng import Stream
+from gbcsp.model import ConstraintSpec, Instance, Params, violated_rows
+from gbcsp.rng import SeedSpec, Stream
+from gbcsp.uc import SOLUTION_FOUND, UNKNOWN
 
 
 def one_constraint(scope, incompatible, n, d, k=None, q=None):
@@ -157,3 +166,138 @@ def _checks_at(inst: Instance) -> list[list]:
             if chk is not None:
                 checks_at[v].append(chk)
     return checks_at
+
+
+def _scalar_randbelow(stream: Stream, bound: int) -> int:
+    """Uniform integer in [0, bound) from one ``next_u64`` word at a time,
+    rejecting words at or above the largest multiple of bound <= 2**64."""
+    if bound == 1:
+        return 0
+    limit = 2**64 - 2**64 % bound
+    u = stream.next_u64()
+    while u >= limit:
+        u = stream.next_u64()
+    return u % bound
+
+
+class _EmptyConstraint(Exception):
+    pass
+
+
+@dataclass
+class ReferenceUCState:
+    """Mutable reduction state of one reference run: ``digits[(cid * k +
+    pos) * q + j]`` is the value at scope position pos of constraint cid's
+    j-th forbidden tuple, and ``assigned`` maps each assigned variable to
+    its value."""
+
+    n: int
+    k: int
+    q: int
+    scopes: list[int]
+    digits: list[int]
+    var_start: list[int]
+    var_entries: list[int]
+    masks: list[int]
+    free: list[int]
+    live: int
+    units: list[int]
+    unset: list[int]
+    assigned: dict[int, int]
+
+    @classmethod
+    def from_instance(cls, inst: Instance) -> "ReferenceUCState":
+        params = inst.params
+        n, k, t, q = params.n, params.k, params.t, params.q
+        flat = inst.scopes.ravel()
+        order = np.argsort(flat.astype(np.min_scalar_type(n - 1)), kind="stable")
+        var_start = np.searchsorted(flat[order], np.arange(n + 1))
+        digits = inst.incompatible.transpose(0, 2, 1)
+        return cls(
+            n=n, k=k, q=q,
+            scopes=flat.tolist(),
+            digits=digits.ravel().tolist(),
+            var_start=var_start.tolist(),
+            var_entries=order.tolist(),
+            masks=[(1 << q) - 1] * t,
+            free=[k] * t,
+            live=t,
+            units=[],
+            unset=list(range(n)),
+            assigned={},
+        )
+
+    def assign(self, var: int, value: int) -> None:
+        unset = self.unset
+        idx = bisect_left(unset, var)
+        if idx == len(unset) or unset[idx] != var:
+            raise ValueError(f"variable {var} is assigned or outside [0, {self.n})")
+        del unset[idx]
+        self.assigned[var] = value
+
+    def unit(self, cid: int) -> tuple[int, set[int]]:
+        """The unassigned variable of unit ``cid`` and the values it bans there."""
+        k, q, mask = self.k, self.q, self.masks[cid]
+        for f in range(cid * k, cid * k + k):
+            var = self.scopes[f]
+            if var not in self.assigned:
+                return var, {self.digits[f * q + j] for j in range(q) if mask >> j & 1}
+        raise ValueError(f"constraint {cid} has no unassigned variable")
+
+
+def reference_reduce_after_assignment(state: ReferenceUCState, var: int, value: int) -> None:
+    """Reduce every live constraint containing ``var`` after ``var <- value``:
+    clear the bits of the tuples whose digit at var's position differs."""
+    k, q = state.k, state.q
+    masks, free, digits, units = state.masks, state.free, state.digits, state.units
+    for f in state.var_entries[state.var_start[var]:state.var_start[var + 1]]:
+        cid = f // k
+        mask = masks[cid]
+        if not mask:
+            continue
+        row = f * q
+        for j in range(q):
+            if digits[row + j] != value:
+                mask &= ~(1 << j)
+        left = free[cid] - 1
+        if not mask:
+            masks[cid] = 0
+            state.live -= 1
+            if not left:
+                del units[bisect_left(units, cid)]
+            continue
+        if not left:
+            raise _EmptyConstraint(var, value, cid)
+        masks[cid] = mask
+        free[cid] = left
+        if left == 1:
+            insort(units, cid)
+
+
+def reference_run_uc(inst: Instance, seed: SeedSpec, label: str = "uc"):
+    """(tag, assignment, conflict) of one reference run: the assignment on
+    SOLUTION_FOUND, and on UNKNOWN the (var, value, cid) whose reduction
+    emptied constraint cid."""
+    params = inst.params
+    rng = seed.stream(label)
+    state = ReferenceUCState.from_instance(inst)
+    d = params.d
+    while state.live:
+        if state.units:
+            cid = state.units[_scalar_randbelow(rng, len(state.units))]
+            var, banned = state.unit(cid)
+            allowed = [v for v in range(d) if v not in banned]
+            value = allowed[_scalar_randbelow(rng, len(allowed))]
+        else:
+            var = state.unset[_scalar_randbelow(rng, len(state.unset))]
+            value = _scalar_randbelow(rng, d)
+        state.assign(var, value)
+        try:
+            reference_reduce_after_assignment(state, var, value)
+        except _EmptyConstraint as empty:
+            return UNKNOWN, None, empty.args
+    for var in state.unset:
+        state.assigned[var] = _scalar_randbelow(rng, d)
+    assignment = tuple(state.assigned[i] for i in range(params.n))
+    assert not violated_rows(inst.scopes, inst.incompatible, assignment, params.n, d).any()
+    return SOLUTION_FOUND, assignment, None

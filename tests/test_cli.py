@@ -395,6 +395,26 @@ def test_solve_and_sweep_refuse_a_huge_n_in_one_line(tmp_path, capsys):
     assert peak < 2**20
 
 
+def test_uc_and_ucrate_refuse_a_huge_n_in_one_line(tmp_path, capsys):
+    # the unit-constraint state is charged from the parameters: n = 10**12
+    # takes 88 bytes a variable, and n = 10**9 at t = 2n 324 bytes a variable
+    path = tmp_path / "inst.json"
+    (code, out, err), _ = traced_run(capsys, "generate", "--n", str(10**12), "--d", "2", "--k", "3",
+                                     "--q", "1", "--seed", "1", "--t", "4", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    (code, out, err), peak = traced_run(capsys, "uc", "--in", str(path), "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err == (f"gbcsp uc: error: n={10**12}, t=4 needs 88000000262616 bytes of unit-constraint "
+                   "state, over the budget of 268435456\n")
+    assert peak < 2**20
+    (code, out, err), peak = traced_run(capsys, "ucrate", "--n", str(10**9), "--d", "2", "--k", "3",
+                                        "--t", str(2 * 10**9), "--q", "1", "--trials", "3", "--seed", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gbcsp ucrate: error: n={10**9}, t={2 * 10**9} needs ")
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     def predict(params, tol):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "

@@ -165,7 +165,13 @@ class TestSweep:
         assert capsys.readouterr().err == ("skipping grid point t=10: t=10 needs 960 bytes of check rows "
                                            "over W=12 prefix words and 1680 bytes of per-variable state, "
                                            "over the budget of 2180\n")
-        # a uc sweep builds no check rows
+        # a uc sweep builds no check rows: it is charged for its own state,
+        # 3,004 bytes at t = 10
+        rows = run_sweep(dataclasses.replace(config, measures=("uc",)))
+        assert [row.t for row in rows] == [0]
+        assert capsys.readouterr().err == ("skipping grid point t=10: n=12, t=10 needs 3004 bytes of "
+                                           "unit-constraint state, over the budget of 2180\n")
+        monkeypatch.setattr("gbcsp.generator.MAX_INSTANCE_BYTES", 3004)
         rows = run_sweep(dataclasses.replace(config, measures=("uc",)))
         assert [row.t for row in rows] == [0, 10]
         assert capsys.readouterr().err == ""

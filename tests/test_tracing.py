@@ -43,27 +43,23 @@ def test_benchmark_modules_import(monkeypatch, name):
 
 
 def test_one_reduction_per_round(monkeypatch):
-    # every round assigns exactly one variable through UCState.assign and then
-    # calls the module-level reduce_after_assignment once
-    calls = {"assign": 0, "reduce": 0}
-    assign, reduce = uc.UCState.assign, uc.reduce_after_assignment
-
-    def counting_assign(state, var, value):
-        calls["assign"] += 1
-        return assign(state, var, value)
+    # every round calls the module-level reduce_after_assignment once, and
+    # that call takes one variable out of the run's unset list
+    states = []
+    reduce = uc.reduce_after_assignment
 
     def counting_reduce(state, var, value):
-        calls["reduce"] += 1
+        states.append(state)
         return reduce(state, var, value)
 
-    monkeypatch.setattr(uc.UCState, "assign", counting_assign)
     monkeypatch.setattr(uc, "reduce_after_assignment", counting_reduce)
     params = Params(n=60, d=4, k=3, t=240, q=3)
     tags = set()
     for trial in range(20):
         spec = SeedSpec(21, trial)
-        calls.update(assign=0, reduce=0)
+        states.clear()
         out = uc.run_uc(sample_instance(params, spec), spec)
         tags.add(out.tag)
-        assert calls["reduce"] == calls["assign"] > 0
+        assert states and all(state is states[0] for state in states)
+        assert len(states) == params.n - len(states[0].unset)
     assert tags == {uc.SOLUTION_FOUND, uc.UNKNOWN}

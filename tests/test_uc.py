@@ -1,17 +1,22 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
+from reference import reference_run_uc
 
+from gbcsp import generator
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent, violated_rows
 from gbcsp.oracle import random_strict_params
-from gbcsp.rng import SeedSpec
+from gbcsp.rng import SeedSpec, below
 from gbcsp.uc import (
     SOLUTION_FOUND,
     UNKNOWN,
     EmptyConstraintSignal,
     UCState,
+    _words,
+    check_uc_size,
     reduce_after_assignment,
     run_uc,
     uc_success_rate,
@@ -31,16 +36,21 @@ def build(n, d, constraints, q=None):
 def reduced(state):
     """{cid: (remaining scope, projected forbidden tuples)} for every live
     constraint, rebuilt from the flat state: the surviving tuples are the
-    mask's bits, projected onto the positions of unassigned variables."""
-    k, q = state.k, state.q
+    mask's bits, projected onto the positions of unassigned variables, where
+    tuple j's value at flat position f is the row v of ``keep`` with bit j
+    set at f."""
+    k, d = state.k, len(state.keep)
     out = {}
     for cid, mask in enumerate(state.masks):
         if not mask:
             continue
-        cells = [f for f in range(cid * k, (cid + 1) * k) if state.scopes[f] not in state.assigned]
-        tuples = {
-            tuple(state.digits[f * q + j] for f in cells) for j in range(q) if mask >> j & 1
-        }
+        cells = [f for f in range(cid * k, (cid + 1) * k) if state.value_of[state.scopes[f]] < 0]
+        tuples = set()
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                value_at = [[v for v in range(d) if state.keep[v][f] >> j & 1] for f in cells]
+                assert all(len(values) == 1 for values in value_at)
+                tuples.add(tuple(values[0] for values in value_at))
         out[cid] = ([state.scopes[f] for f in cells], tuples)
     assert len(out) == state.live
     assert all(state.free[cid] == len(scope) for cid, (scope, _) in out.items())
@@ -52,7 +62,6 @@ class TestReduce:
     def test_keep_and_project_to_unit(self):
         inst = build(2, 2, [((0, 1), {(0, 0), (1, 1)})])
         state = UCState.from_instance(inst)
-        state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
         scope, tuples = reduced(state)[0]
         assert scope == [1]
@@ -64,22 +73,19 @@ class TestReduce:
         # of variable 1; serving it forces 1 <- 1, which removes it
         inst = build(2, 2, [((0, 1), {(0, 0)})])
         state = UCState.from_instance(inst)
-        state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
         assert reduced(state)[0] == ([1], {(0,)})
-        var, banned = state.unit(0)
-        assert (var, banned) == (1, {0})
-        allowed = [v for v in range(2) if v not in banned]
+        # variable 1 sits at flat position 1; run_uc's allowed values there
+        mask = state.masks[0]
+        allowed = [v for v in range(2) if not mask & state.keep[v][1]]
         assert allowed == [1]  # the only satisfying value
-        state.assign(1, 1)
         reduce_after_assignment(state, 1, 1)
         assert reduced(state) == {}
-        assert state.assigned == {0: 0, 1: 1}
+        assert state.value_of == [0, 1]
 
     def test_value_absent_removes_constraint(self):
         inst = build(2, 2, [((0, 1), {(1, 1)})])
         state = UCState.from_instance(inst)
-        state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
         assert reduced(state) == {}
         assert state.units == []
@@ -87,35 +93,37 @@ class TestReduce:
     def test_unit_hit_raises_empty_signal(self):
         # 0 <- 0 leaves a unit forbidding value 0 of variable 1
         state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
-        state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
         assert reduced(state) == {0: ([1], {(0,)})}
-        state.assign(1, 0)
-        with pytest.raises(EmptyConstraintSignal):
+        with pytest.raises(EmptyConstraintSignal) as empty:
             reduce_after_assignment(state, 1, 0)
+        assert empty.value.args == (1, 0, 0)
+        assert str(empty.value) == "constraint 0 emptied by 1 <- 0"
 
     def test_two_units_one_variable_conflict(self):
         # serving one unit forces a value the other forbids
         inst = build(2, 2, [((0, 1), {(0, 0)}), ((0, 1), {(0, 1)})])
         state = UCState.from_instance(inst)
-        state.assign(0, 0)
         reduce_after_assignment(state, 0, 0)
         assert len(state.units) == 2
         live = reduced(state)
         bans = sorted(next(iter(tuples))[0] for _, tuples in live.values())
         assert bans == [0, 1]
-        assert [state.unit(cid) for cid in state.units] == [(1, {0}), (1, {1})]
-        state.assign(1, 1)  # satisfies the first unit, empties the second
-        with pytest.raises(EmptyConstraintSignal):
+        # variable 1 sits at flat position 2 * cid + 1 of both units
+        assert [[v for v in range(2) if not state.masks[cid] & state.keep[v][2 * cid + 1]]
+                for cid in state.units] == [[1], [0]]
+        # satisfies the first unit, empties the second
+        with pytest.raises(EmptyConstraintSignal) as empty:
             reduce_after_assignment(state, 1, 1)
+        assert empty.value.args == (1, 1, 1)
 
     @pytest.mark.parametrize("var", [0, 2, -1])
     def test_assign_rejects_assigned_and_unknown_variables(self, var):
         state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
-        state.assign(0, 1)
+        reduce_after_assignment(state, 0, 1)
         with pytest.raises(ValueError, match="is assigned or outside"):
-            state.assign(var, 0)
-        assert (state.unset, state.assigned) == ([1], {0: 1})
+            reduce_after_assignment(state, var, 0)
+        assert (state.unset, state.value_of) == ([1], [1, -1])
 
     def test_arity_never_increases(self, param_stream):
         for trial in range(20):
@@ -127,7 +135,6 @@ class TestReduce:
             arity = {cid: len(scope) for cid, (scope, _) in reduced(state).items()}
             for var in range(params.n):
                 value = param_stream.randbelow(params.d)
-                state.assign(var, value)
                 try:
                     reduce_after_assignment(state, var, value)
                 except EmptyConstraintSignal:
@@ -156,7 +163,6 @@ class TestReductionSemantics:
             for var in range(n_assign):
                 value = param_stream.randbelow(params.d)
                 assigned[var] = value
-                state.assign(var, value)
                 try:
                     reduce_after_assignment(state, var, value)
                 except EmptyConstraintSignal:
@@ -282,3 +288,114 @@ def test_array_recheck_agrees_with_is_consistent(param_stream):
             assert (not violated.any()) == expected
             seen[expected] += 1
     assert min(seen.values()) > 50
+
+
+def test_unknown_names_the_emptied_constraint():
+    # var 0 <- 0 leaves two units on variable 1, banning 0 (cid 0) and 1
+    # (cid 1); serving either empties the other or itself first in cid order
+    inst = build(2, 2, [((0, 1), {(0, 0)}), ((0, 1), {(0, 1)})])
+    conflicts = set()
+    for trial in range(400):
+        out = run_uc(inst, SeedSpec(616, trial))
+        if out.tag == UNKNOWN:
+            var, value, cid = out.conflict
+            conflicts.add(out.conflict)
+            # the emptied constraint forbids the values its scope was given
+            assert inst.constraints[cid].incompatible == {(0, value)}
+        else:
+            assert out.conflict is None
+    assert conflicts == {(1, 0, 0), (1, 1, 1)}
+
+
+def _random_strict(stream):
+    d = 2 + stream.randbelow(5)
+    k = 2 + stream.randbelow(3)
+    n = k + stream.randbelow(41 - k)
+    return Params(n=n, d=d, k=k, t=stream.randbelow(6 * n + 1), q=1 + stream.randbelow(d - 1))
+
+
+def _same_as_reference(inst, spec):
+    out = run_uc(inst, spec)
+    assert (out.tag, out.assignment, out.conflict) == reference_run_uc(inst, spec)
+    return out.tag
+
+
+def test_matches_the_reference_on_random_strict_sets():
+    """Keep rows, the value list and chunked words give the outcome of the
+    digit loop, the dict and one scalar word at a time, draw for draw."""
+    stream = SeedSpec(23, 0).stream("uc-reference")
+    tags = [_same_as_reference(sample_instance(params, SeedSpec(23, trial)), SeedSpec(24, trial))
+            for trial, params in enumerate(_random_strict(stream) for _ in range(3000))]
+    assert min(tags.count(SOLUTION_FOUND), tags.count(UNKNOWN)) > 500
+
+
+def test_matches_the_reference_at_scale():
+    # uc_large's parameters: the runs cross chunks of WORD_CHUNK words
+    params = Params(n=16000, d=2, k=3, t=32000, q=1)
+    tags = {_same_as_reference(sample_instance(params, SeedSpec(25, trial)), SeedSpec(25, trial))
+            for trial in range(5)}
+    assert SOLUTION_FOUND in tags
+
+
+@pytest.mark.parametrize("q", [63, 64, 65, 80])
+def test_matches_the_reference_on_wide_masks(q):
+    # from q = 64 on the rows are uint64, then Python ints
+    params = Params(n=30, d=100, k=2, t=150, q=q)
+    tags = {_same_as_reference(sample_instance(params, SeedSpec(26, trial)), SeedSpec(26, trial))
+            for trial in range(8)}
+    assert tags == {SOLUTION_FOUND, UNKNOWN}
+
+
+def test_chunked_words_match_randbelow():
+    # 2**63 + 1 rejects about half of all words, so rejections fall across
+    # the 7-word chunk boundaries
+    bound = 2**63 + 1
+    source = _words(SeedSpec(2024, 0).stream("chunks"), 7)
+    taken = []
+
+    def counted():
+        for word in source:
+            taken.append(word)
+            yield word
+
+    words = counted()
+    fresh = SeedSpec(2024, 0).stream("chunks")
+    assert [below(bound, words) for _ in range(200)] == [fresh.randbelow(bound) for _ in range(200)]
+    assert 300 < len(taken) < 500
+    assert next(source) == fresh.next_u64()
+
+
+def test_run_refuses_state_over_the_budget_before_building(monkeypatch):
+    params = Params(n=16000, d=2, k=3, t=32000, q=1)
+    inst = sample_instance(params, SeedSpec(3, 0))
+    monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", 10**6)
+    for call in (lambda: run_uc(inst, SeedSpec(3, 0)), lambda: uc_success_rate(params, 5, 3)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^n=16000, t=32000 needs 5446144 bytes of "
+                                                 "unit-constraint state, over the budget of 1000000$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("params", [
+    Params(n=16000, d=2, k=3, t=32000, q=1),
+    Params(n=100000, d=2, k=2, t=10, q=1),
+    Params(n=50, d=5, k=5, t=20000, q=4),
+    Params(n=2000, d=10, k=3, t=8000, q=9),
+    Params(n=300, d=100, k=2, t=2000, q=80),
+], ids=["uc_large", "many-variables", "many-entries", "q9", "object-rows"])
+def test_charge_covers_a_run_traced_peak(params, monkeypatch):
+    inst = sample_instance(params, SeedSpec(27, 0))
+    tracemalloc.start()
+    try:
+        run_uc(inst, SeedSpec(27, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="bytes of unit-constraint state"):
+        check_uc_size(params)
