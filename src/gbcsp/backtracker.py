@@ -62,6 +62,16 @@ per-tuple reference the tests hold it to (``model.is_violated``, the
 oracle's predicate, shares code with neither).  No check tests the empty
 prefix, which is inconsistent only when t >= 1 and q = d**k.
 
+``prepare`` builds what a solve needs before its walk for a batch of
+instances of one Params at once: the layout (each variable's word and
+shift, the value table, each value's slot) once, and every instance's check
+rows with one stable argsort of keys offset by instance, (instance * n +
+depth) * d + value, so each instance's rows are one slice of the batch's.
+``solve_all`` alone prepares a batch of one; ``harness.run_point`` prepares
+each batch of trials and hands each solve its entry.  ``batch_bytes``
+charges one instance of a batch: its rows, its state and ``_tables``'
+temporaries.
+
 ``collect=True`` must hold every solution, so it refuses once the collected
 count passes ``MAX_COLLECTED_SOLUTIONS``, before the solutions are
 concatenated, sorted and decoded.  Every solve, and ``harness.run_sweep``
@@ -76,6 +86,7 @@ nothing of size n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,19 +126,26 @@ def _layout(n: int, d: int):
     return b, per, -(-n // per), np.int32 if min(n, per) * b <= 31 else np.int64
 
 
-def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray):
-    """Every check row, built from the scope and tuple arrays and each
-    variable's ``word`` and ``shift``: (cuts, masks, patterns), with the rows
-    at depth i that rule out value v at ``cuts[i*d+v]:cuts[i*d+v+1]`` of the
-    R x W arrays ``masks`` and ``patterns`` in the word dtype."""
-    params = inst.params
-    n, d, k, q = params.n, params.d, params.k, params.q
+def _tables(batch: list[Instance], word: np.ndarray, shift: np.ndarray) -> list:
+    """Every check row of each instance of ``batch`` (all of one Params),
+    built from their scope and tuple arrays at once and each variable's
+    ``word`` and ``shift``: per instance (cuts, masks, patterns), with the
+    rows at depth i that rule out value v at ``cuts[i*d+v]:cuts[i*d+v+1]``
+    of the R x W arrays ``masks`` and ``patterns`` in the word dtype."""
+    params = batch[0].params
+    n, d, k, q, t = params.n, params.d, params.k, params.q, params.t
     b, _, words, dtype = _layout(n, d)
-    by_var = np.argsort(inst.scopes, axis=1)
+    # a lone solve, a batch of one, copies, offsets and splits nothing
+    if len(batch) == 1:
+        scopes, incompatible = batch[0].scopes, batch[0].incompatible
+    else:
+        scopes = np.concatenate([inst.scopes for inst in batch])
+        incompatible = np.concatenate([inst.incompatible for inst in batch])
+    by_var = np.argsort(scopes, axis=1)
     rows = np.arange(len(by_var))[:, None]
-    ordered = inst.scopes[rows, by_var]
+    ordered = scopes[rows, by_var]
     # digits[c, j, s]: tuple s of constraint c at sorted scope position j
-    digits = inst.incompatible.transpose(0, 2, 1)[rows, by_var].astype(dtype)
+    digits = incompatible.transpose(0, 2, 1)[rows, by_var].astype(dtype)
     # blocks[c, j, s]: tuple s blocks the parents at sorted position j
     blocks = np.zeros(digits.shape, dtype=bool)
     blocks[:, k - 1] = True  # the last scope variable: every forbidden tuple blocks
@@ -142,10 +160,15 @@ def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray):
             if run <= q:
                 proj = rank // np.uint64(run)
                 blocks[rows, j, by_rank[:, : q - run + 1]] = proj[:, : q - run + 1] == proj[:, run - 1 :]
-    # a row's key is depth * d + value; n * d sorts the non-blocking last
-    keys = np.where(blocks, ordered[:, :, None] * d + digits, n * d).reshape(-1)
+    # a row's key is (instance * n + depth) * d + value, and the batch's
+    # len(batch) * n * d sorts the non-blocking last
+    span = n * d
+    keys = ordered[:, :, None] * d + digits
+    if len(batch) > 1:
+        keys += np.repeat(np.arange(0, len(batch) * span, span), t)[:, None, None]
+    keys = np.where(blocks, keys, len(batch) * span).reshape(-1)
     order = np.argsort(keys, kind="stable")
-    cuts = np.searchsorted(keys[order], np.arange(n * d + 1)).tolist()
+    cuts = np.searchsorted(keys[order], np.arange(len(batch) * span + 1))
     # row (c, j, s) ORs the fields of sorted scope positions 0..j-1 into their words
     c, j, s = np.unravel_index(order[: cuts[-1]], digits.shape)
     var = ordered[c, : k - 1]
@@ -157,10 +180,17 @@ def _tables(inst: Instance, word: np.ndarray, shift: np.ndarray):
     at = word[var] + masks.shape[1] * np.arange(len(c))[:, None]
     np.bitwise_or.at(masks.reshape(-1), at, field)
     np.bitwise_or.at(patterns.reshape(-1), at, digit)
-    return cuts, masks, patterns
+    if len(batch) == 1:
+        return [(cuts.tolist(), masks, patterns)]
+    # each instance's cuts, counted from its first row
+    firsts = cuts[:-1:span]
+    local = (cuts[np.arange(0, len(batch) * span, span)[:, None] + np.arange(span + 1)] - firsts[:, None]).tolist()
+    ends = cuts[span::span].tolist()
+    return [(own, masks[first:end], patterns[first:end])
+            for own, first, end in zip(local, firsts.tolist(), ends)]
 
 
-def check_solve_size(params: Params) -> None:
+def check_solve_size(params: Params) -> int:
     """Refuse, from the parameters alone and so allocating nothing of size n,
     a solve whose check rows and per-variable state together pass
     ``generator.MAX_INSTANCE_BYTES``.  A row is W words of ``masks`` and of
@@ -182,6 +212,15 @@ def check_solve_size(params: Params) -> None:
     if rows + state > MAX_INSTANCE_BYTES:
         raise ValueError(f"t={params.t} needs {rows} bytes of check rows over W={words} prefix words "
                          f"and {state} bytes of per-variable state, over the budget of {MAX_INSTANCE_BYTES}")
+    return rows + state
+
+
+def batch_bytes(params: Params) -> int:
+    """Bytes one instance of a batch takes in ``prepare``: the rows and state
+    ``check_solve_size`` charges, which it refuses over the budget, and 96
+    bytes for each tuple entry, t * k * q, for ``_tables``' temporaries (at
+    most 85 measured with tracemalloc)."""
+    return check_solve_size(params) + 96 * params.t * params.k * params.q
 
 
 def _depth_first(params: Params, per: int, values: np.ndarray, slot: list[int], tables,
@@ -258,35 +297,70 @@ def _depth_first(params: Params, per: int, values: np.ndarray, slot: list[int], 
     return 1 + d * sum(level_counts[:n]), level_counts, found
 
 
-def solve_all(inst: Instance, collect: bool = False, value_order=None) -> SearchStats:
+class _Shared(NamedTuple):
+    """The layout a batch's solves share: b bits a field, per fields and W
+    words a prefix, each variable's ``word`` and ``shift``, ``values[i]``
+    each value of variable i in visit order in its field, and ``slot[v]``
+    value v's place in visit order."""
+
+    b: int
+    per: int
+    words: int
+    word: np.ndarray
+    shift: np.ndarray
+    values: np.ndarray
+    slot: list[int]
+
+
+def prepare(batch: list[Instance], value_order=None) -> list:
+    """What ``solve_all`` builds before its walk, for every instance of
+    ``batch`` (all of one Params) at once: per instance the shared layout
+    and its own (cuts, masks, patterns).  Raises ValueError for a bad
+    ``value_order`` and, through ``check_solve_size``, for one instance's
+    rows and state over ``generator.MAX_INSTANCE_BYTES``."""
+    params = batch[0].params
+    n, d = params.n, params.d
+    order = list(range(d)) if value_order is None else list(value_order)
+    if sorted(order) != list(range(d)):
+        raise ValueError("value_order must be a permutation of range(d)")
+    if any(inst.params != params for inst in batch):
+        raise ValueError("a batch's instances must share one Params")
+    check_solve_size(params)
+    b, per, words, dtype = _layout(n, d)
+    word = np.arange(n) // per
+    shift = ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
+    values = (np.asarray(order) << shift[:, None]).astype(dtype)
+    shared = _Shared(b, per, words, word, shift, values, np.argsort(order).tolist())
+    return [(shared, tables) for tables in _tables(batch, word, shift)]
+
+
+def solve_all(inst: Instance, collect: bool = False, value_order=None, prepared=None) -> SearchStats:
     """Enumerate all solutions and count search-tree nodes exactly.
 
     ``value_order`` (a permutation of range(d)) only affects visit order,
     never the counts; collected solutions are always reported in
-    lexicographic order.  A count-only solve holds at most
-    n * d * ``BLOCK_ROWS`` prefixes; ``collect=True`` raises ValueError once
-    more than ``MAX_COLLECTED_SOLUTIONS`` solutions are found, and any solve
-    raises it up front for check rows over ``generator.MAX_INSTANCE_BYTES``.
+    lexicographic order.  ``prepared``, the entry of ``prepare(batch,
+    value_order)`` for ``inst``, replaces building the layout and rows here,
+    where ``solve_all`` prepares a batch of one; ``value_order`` is then
+    the batch's.  A count-only solve holds at most n * d * ``BLOCK_ROWS``
+    prefixes; ``collect=True`` raises ValueError once more than
+    ``MAX_COLLECTED_SOLUTIONS`` solutions are found, and any solve raises it
+    up front for check rows over ``generator.MAX_INSTANCE_BYTES``.
     """
-    n, d = inst.params.n, inst.params.d
-    order = list(range(d)) if value_order is None else list(value_order)
-    if sorted(order) != list(range(d)):
-        raise ValueError("value_order must be a permutation of range(d)")
-    check_solve_size(inst.params)
-    b, per, words, dtype = _layout(n, d)
-    word = np.arange(n) // per
-    shift = ((np.minimum(word * per + per - 1, n - 1) - np.arange(n)) * b).astype(dtype)
-    # values[i]: each value of variable i, in visit order, in its field
-    values = (np.asarray(order) << shift[:, None]).astype(dtype)
-    slot = np.argsort(order).tolist()
-    tables = _tables(inst, word, shift)
-    nodes, level_counts, found = _depth_first(inst.params, per, values, slot, tables, collect)
+    if prepared is None:
+        (prepared,) = prepare([inst], value_order)
+    elif value_order is not None:
+        raise ValueError("a prepared solve takes its batch's value_order")
+    shared, tables = prepared
+    nodes, level_counts, found = _depth_first(inst.params, shared.per, shared.values, shared.slot,
+                                              tables, collect)
     solutions = None
     if collect:
         # Word-major order is lexicographic order: sort on word 0 first.
-        cols = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, dtype)] * words
+        dtype = shared.values.dtype
+        cols = [np.concatenate(w) for w in zip(*found)] if found else [np.zeros(0, dtype)] * shared.words
         codes = np.stack(cols, axis=1)[np.lexsort(cols[::-1])]
-        fields = (codes[:, word] >> shift) & ((1 << b) - 1)
+        fields = (codes[:, shared.word] >> shared.shift) & ((1 << shared.b) - 1)
         solutions = tuple(tuple(row) for row in fields.tolist())
     return SearchStats(
         nodes=nodes,

@@ -10,6 +10,17 @@ deterministic fold in trial order, and floats are rendered with shortest
 round-trip repr.  With ``jobs > 1`` a sweep runs pieces of every point's
 trials through ``run_point`` on one pool of at most ``jobs`` workers (and
 no more than the machine's CPUs), so the worker count never changes a row.
+
+``run_point`` runs its trials in batches: a batch draws all its instances
+in one ``generator.sample_batch`` and, when nodes or sat are measured,
+builds all their check rows in one ``backtracker.prepare``; then each trial
+is one ``solve_all`` on its prepared rows and one ``run_uc``.  A batch is
+charged as a whole before it is drawn: each trial its arrays, words and
+draw temporaries (``generator.batch_bytes``) and, when solved, its rows and
+state (``backtracker.batch_bytes``), beside one UC run's state, against
+``generator.MAX_INSTANCE_BYTES``, and holds at most one draw block of
+``generator.BLOCK_ROWS`` constraints.  A batch shrinks to one trial at the
+least, so the batch never refuses a point the per-trial checks accept.
 """
 
 from __future__ import annotations
@@ -20,9 +31,12 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import analytics
-from .backtracker import check_solve_size, solve_all
-from .generator import check_instance_size, sample_instance
+from . import analytics, backtracker, generator
+from .backtracker import check_solve_size, prepare, solve_all
+
+# sample_instance is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps harness.sample_instance.
+from .generator import check_instance_size, sample_batch, sample_instance  # noqa: F401
 from .model import Params, require_int
 from .rng import SeedSpec
 from .uc import check_uc_size, run_uc
@@ -111,21 +125,19 @@ class SummaryRow:
     z_score: float | None
 
 
-def _run_one_trial(params: Params, master_seed: int, trial: int,
-                   measures) -> tuple[int, int | None, bool | None, bool | None]:
-    spec = SeedSpec(master_seed, trial)
-    label = f"instance/t{params.t}"
-    inst = sample_instance(params, spec, label=label)
-    nodes = None
-    sat = None
-    uc_ok = None
+def _batch_size(params: Params, measures) -> int:
+    """Trials one batch of ``run_point`` holds: as many as fit
+    ``generator.MAX_INSTANCE_BYTES`` beside the state of one UC run
+    (``uc.check_uc_size``) when uc is measured, and whose constraints fit
+    one draw block of ``generator.BLOCK_ROWS`` rows, and at least one.  A
+    trial is charged ``generator.batch_bytes`` and, when it is solved,
+    ``backtracker.batch_bytes``.  Each charge refuses a point that one
+    trial passes the budget on."""
+    trial = generator.batch_bytes(params)
     if "nodes" in measures or "sat" in measures:
-        stats = solve_all(inst)
-        nodes = stats.nodes if "nodes" in measures else None
-        sat = (stats.solution_count > 0) if "sat" in measures else None
-    if "uc" in measures:
-        uc_ok = run_uc(inst, spec, label=f"uc/t{params.t}").found
-    return trial, nodes, sat, uc_ok
+        trial += backtracker.batch_bytes(params)
+    room = generator.MAX_INSTANCE_BYTES - (check_uc_size(params) if "uc" in measures else 0)
+    return max(1, min(room // trial, generator.BLOCK_ROWS // max(params.t, 1)))
 
 
 def run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0):
@@ -133,11 +145,25 @@ def run_point(params: Params, trials: int, master_seed: int, measures, trial_off
 
     Trial j's draws depend only on (master_seed, trial_offset + j, point), so
     one 2N-trial run splits into two N-trial runs that pool identically.
+    The trials run in batches of ``_batch_size`` (module docstring).
     """
-    return [
-        _run_one_trial(params, master_seed, trial, measures)
-        for trial in range(trial_offset, trial_offset + trials)
-    ]
+    solve = "nodes" in measures or "sat" in measures
+    size = _batch_size(params, measures)
+    records = []
+    for start in range(trial_offset, trial_offset + trials, size):
+        seeds = [SeedSpec(master_seed, trial) for trial in range(start, min(start + size, trial_offset + trials))]
+        batch = sample_batch(params, seeds, label=f"instance/t{params.t}")
+        rows = prepare(batch) if solve else [None] * len(batch)
+        for seed, inst, prepared in zip(seeds, batch, rows):
+            nodes = sat = uc_ok = None
+            if solve:
+                stats = solve_all(inst, prepared=prepared)
+                nodes = stats.nodes if "nodes" in measures else None
+                sat = (stats.solution_count > 0) if "sat" in measures else None
+            if "uc" in measures:
+                uc_ok = run_uc(inst, seed, label=f"uc/t{params.t}").found
+            records.append((seed.stream_index, nodes, sat, uc_ok))
+    return records
 
 
 def _mean_stderr(values: list[int]) -> tuple[float, float | None]:

@@ -17,8 +17,8 @@ of ``next_block``.
 
 SplitMix64 is counter-based: its state advances by the odd constant GAMMA
 on every word, so word j after state s0 is ``mix(s0 + (j+1)*GAMMA mod
-2**64)`` and a whole block of words can be computed at once
-(``Stream.next_block``).
+2**64)`` and a whole block of words can be computed at once, of one stream
+(``Stream.next_block``) or of many streams side by side (``words_at``).
 """
 
 from __future__ import annotations
@@ -53,23 +53,38 @@ class Stream:
         z = ((z ^ (z >> 27)) * _MULT2) & _MASK64
         return z ^ (z >> 31)
 
+    @property
+    def state(self) -> int:
+        return self._state
+
+    def skip(self, count: int) -> None:
+        """Move past the next ``count`` words without computing them."""
+        self._state = (self._state + count * _GAMMA) & _MASK64
+
     def next_block(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array, equal to ``count``
-        calls of next_u64 (uint64 arithmetic wraps exactly like the mask)."""
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= _GAMMA_U
-        z += np.uint64(self._state)
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        z ^= z >> _S30
-        z *= _MULT1_U
-        z ^= z >> _S27
-        z *= _MULT2_U
-        z ^= z >> _S31
+        calls of next_u64."""
+        z = words_at(np.uint64(self._state), np.arange(1, count + 1, dtype=np.uint64))
+        self.skip(count)
         return z
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound); unbiased for 0 < bound <= 2**64."""
         return below(bound, iter(self.next_u64, None))
+
+
+def words_at(states, counters: np.ndarray) -> np.ndarray:
+    """Word ``counters`` (1 for the next word) of the streams whose states
+    are ``states``: mix(state + counter * GAMMA), where uint64 arithmetic
+    wraps exactly like the mask.  Both are uint64 arrays, broadcast
+    together."""
+    z = states + counters * _GAMMA_U
+    z ^= z >> _S30
+    z *= _MULT1_U
+    z ^= z >> _S27
+    z *= _MULT2_U
+    z ^= z >> _S31
+    return z
 
 
 def below(bound: int, words: Iterator[int]) -> int:

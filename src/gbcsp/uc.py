@@ -14,9 +14,9 @@ cannot decide.  If every constraint gets removed, leftover variables take
 uniformly random values so the result is a concrete assignment, which is
 re-verified against the original instance before being returned (the
 heuristic is sound but incomplete: it can answer "unknown" on satisfiable
-instances, never the reverse).  The re-check is ``model.violated_rows``
-on the full assignment: its values on no scope may be one of that row's
-forbidden tuples.
+instances, never the reverse).  The re-check is ``_violated`` on the full
+assignment: its values on no scope may be one of that row's forbidden
+tuples.
 
 State.  Everything is a flat sequence of ints built from the instance
 arrays by a few numpy calls, so a run allocates no object per constraint;
@@ -82,7 +82,7 @@ from . import generator
 
 # is_consistent is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps uc.is_consistent.
-from .model import Instance, Params, is_consistent, violated_rows  # noqa: F401
+from .model import Instance, Params, is_consistent  # noqa: F401
 from .rng import SeedSpec, Stream, below
 
 SOLUTION_FOUND = "solution_found"
@@ -110,7 +110,7 @@ def _int_bytes(bits: int) -> int:
     return 0 if bits <= 8 else (24 + 4 * -(-bits // 30) + 15) // 16 * 16
 
 
-def check_uc_size(params: Params) -> None:
+def check_uc_size(params: Params) -> int:
     """Refuse, from the parameters alone and so allocating nothing of size n,
     a run whose state passes ``generator.MAX_INSTANCE_BYTES``.  A list slot
     takes 8 bytes and an int ``_int_bytes``.  A variable takes three slots
@@ -132,6 +132,7 @@ def check_uc_size(params: Params) -> None:
     if size > generator.MAX_INSTANCE_BYTES:
         raise ValueError(f"n={n}, t={t} needs {size} bytes of unit-constraint state, "
                          f"over the budget of {generator.MAX_INSTANCE_BYTES}")
+    return size
 
 
 @dataclass(slots=True)
@@ -229,6 +230,13 @@ class UCOutcome:
         return self.tag == SOLUTION_FOUND
 
 
+def _violated(scopes: np.ndarray, incompatible: np.ndarray, assignment) -> np.ndarray:
+    """For each row of (scopes, incompatible), whether the complete
+    ``assignment`` gives its scope one of its forbidden tuples."""
+    values = np.asarray(assignment, dtype=np.uint64)
+    return (incompatible == values[scopes][:, None, :]).all(axis=2).any(axis=1)
+
+
 def _words(stream: Stream, chunk: int) -> Iterator[int]:
     """The words of ``stream.next_u64``, computed ``chunk`` at a time."""
     while True:
@@ -265,10 +273,9 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
 
     for var in unset:
         value_of[var] = below(d, words)
-    assignment = tuple(value_of)
-    if violated_rows(inst.scopes, inst.incompatible, assignment, params.n, d).any():
+    if _violated(inst.scopes, inst.incompatible, value_of).any():
         raise RuntimeError("unit-constraint run produced an unsatisfying assignment (bug)")
-    return UCOutcome(SOLUTION_FOUND, assignment)
+    return UCOutcome(SOLUTION_FOUND, tuple(value_of))
 
 
 def uc_success_rate(params, trials: int, master_seed: int) -> float:

@@ -20,6 +20,9 @@ Python, and shares no code with the path it checks:
   state: a dict of assigned values, a per-tuple digit loop in the
   reduction and one scalar ``next_u64`` word at a time with its own
   rejection loop.  ``uc.run_uc`` must give the same outcomes draw for draw.
+- ``reference_run_point`` is ``harness.run_point`` one trial at a time:
+  ``sample_instance``, ``solve_all`` and ``run_uc`` on each trial, with no
+  batch.
 
 ``one_constraint`` builds the one-constraint instances several test files
 use.
@@ -35,10 +38,12 @@ from fractions import Fraction
 import numpy as np
 
 from gbcsp.analytics import extend_probability
+from gbcsp.backtracker import solve_all
+from gbcsp.generator import sample_instance
 from gbcsp.harness import _FIELDS, CSV_HEADER, SummaryRow
 from gbcsp.model import ConstraintSpec, Instance, Params, violated_rows
 from gbcsp.rng import SeedSpec, Stream
-from gbcsp.uc import SOLUTION_FOUND, UNKNOWN
+from gbcsp.uc import SOLUTION_FOUND, UNKNOWN, run_uc
 
 
 def one_constraint(scope, incompatible, n, d, k=None, q=None):
@@ -301,3 +306,21 @@ def reference_run_uc(inst: Instance, seed: SeedSpec, label: str = "uc"):
     assignment = tuple(state.assigned[i] for i in range(params.n))
     assert not violated_rows(inst.scopes, inst.incompatible, assignment, params.n, d).any()
     return SOLUTION_FOUND, assignment, None
+
+
+def reference_run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0):
+    """The (trial, nodes, sat, uc_ok) records of ``harness.run_point``, one
+    trial at a time."""
+    records = []
+    for trial in range(trial_offset, trial_offset + trials):
+        spec = SeedSpec(master_seed, trial)
+        inst = sample_instance(params, spec, label=f"instance/t{params.t}")
+        nodes = sat = uc_ok = None
+        if "nodes" in measures or "sat" in measures:
+            stats = solve_all(inst)
+            nodes = stats.nodes if "nodes" in measures else None
+            sat = (stats.solution_count > 0) if "sat" in measures else None
+        if "uc" in measures:
+            uc_ok = run_uc(inst, spec, label=f"uc/t{params.t}").found
+        records.append((trial, nodes, sat, uc_ok))
+    return records

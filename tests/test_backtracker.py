@@ -393,7 +393,7 @@ def test_charge_is_the_rows_bound(monkeypatch):
         q = 1 + stream.randbelow(d - 1 if trial % 2 else d**k)
         params = Params(n=n, d=d, k=k, t=stream.randbelow(3 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(95, trial))
-        masks = backtracker._tables(inst, *layout(inst))[1]
+        masks = backtracker._tables([inst], *layout(inst))[0][1]
         rows_bound = params.t * sum(q // d**m for m in range(k))
         assert rows_bound >= len(masks)
         if q < d:
@@ -453,7 +453,7 @@ def test_tables_peak_is_the_rows():
     assert word_count(inst) == 32
     tracemalloc.start()
     try:
-        _, masks, patterns = backtracker._tables(inst, *layout(inst))
+        _, masks, patterns = backtracker._tables([inst], *layout(inst))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -560,7 +560,7 @@ def test_tables_match_the_generic_checks(monkeypatch):
             q = d**k
         params = Params(n=n, d=d, k=k, t=stream.randbelow(2 * n + 1), q=q)
         inst = sample_instance(params, SeedSpec(96, trial))
-        canonical = canonical_tables(backtracker._tables(inst, *layout(inst)), inst)
+        canonical = canonical_tables(backtracker._tables([inst], *layout(inst))[0], inst)
         assert len(canonical) == n
         assert canonical == reference_checks(inst)
     # d**k > 2**62, past the range of int64 tuple codes: two words at
@@ -570,18 +570,56 @@ def test_tables_match_the_generic_checks(monkeypatch):
         for q in (1, d - 1, d, d**2 + 3):
             inst = sample_instance(Params(n=n, d=d, k=n, t=3, q=q), SeedSpec(96, q))
             assert word_count(inst) == 2
-            tables = backtracker._tables(inst, *layout(inst))
+            tables = backtracker._tables([inst], *layout(inst))[0]
             assert canonical_tables(tables, inst) == reference_checks(inst)
     # a full run of ranks above 2**63: both tuples set variables 0..62 to 1
     ones = (1,) * 63
     inst = one_constraint(tuple(range(63, -1, -1)), {(0,) + ones, (1,) + ones}, n=64, d=2)
-    tables = backtracker._tables(inst, *layout(inst))
+    tables = backtracker._tables([inst], *layout(inst))[0]
     assert canonical_tables(tables, inst) == reference_checks(inst)
     # variable 63 alone is in word 1: its check tests word 0 only, for values 0, 1
     cuts, masks, _ = tables
     assert [([v for v in range(2) for _ in range(cuts[2 * i + v], cuts[2 * i + v + 1])],
              np.flatnonzero(masks[cuts[2 * i] : cuts[2 * i + 2]].any(axis=0)).tolist())
             for i in (62, 63)] == [([1], [0]), ([0, 1], [0])]
+
+
+@pytest.mark.parametrize("word_bits", [63, 8, 5, 3])
+def test_batched_rows_match_single_rows(word_bits, monkeypatch):
+    # a batch's rows, built at once, are each instance's own: strict and
+    # non-strict batches of one to six instances, some with t = 0
+    monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
+    stream = SeedSpec(97, word_bits).stream("batched-rows")
+    multi = 0
+    for case in range(30):
+        d = 2 + stream.randbelow(4)
+        k = 2 + stream.randbelow(3)
+        n = k + stream.randbelow(16)
+        q = 1 + stream.randbelow(d - 1 if case % 2 else d**k)
+        params = Params(n=n, d=d, k=k, t=0 if case % 7 == 0 else stream.randbelow(3 * n), q=q)
+        batch = generator.sample_batch(params, [SeedSpec(97, 10 * case + j) for j in range(1 + stream.randbelow(6))])
+        for inst, (cuts, masks, patterns) in zip(batch, backtracker._tables(batch, *layout(batch[0]))):
+            one_cuts, one_masks, one_patterns = backtracker._tables([inst], *layout(inst))[0]
+            assert cuts == one_cuts
+            assert masks.dtype == one_masks.dtype and np.array_equal(masks, one_masks)
+            assert np.array_equal(patterns, one_patterns)
+        multi += word_count(batch[0]) > 1
+    assert word_bits == 63 or multi
+
+
+def test_prepared_solves_match_solve_all():
+    params = Params(n=9, d=3, k=2, t=12, q=4)
+    batch = generator.sample_batch(params, [SeedSpec(7, j) for j in range(5)])
+    for order in (None, [2, 0, 1]):
+        for inst, prepared in zip(batch, backtracker.prepare(batch, order)):
+            for collect in (False, True):
+                assert (solve_all(inst, collect=collect, prepared=prepared)
+                        == solve_all(inst, collect=collect, value_order=order))
+    with pytest.raises(ValueError, match="^a prepared solve takes its batch's value_order$"):
+        solve_all(batch[0], value_order=[0, 1, 2], prepared=backtracker.prepare(batch)[0])
+    other = sample_instance(replace(params, t=3), SeedSpec(7, 0))
+    with pytest.raises(ValueError, match="^a batch's instances must share one Params$"):
+        backtracker.prepare([batch[0], other])
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -605,7 +643,7 @@ def test_block_splits_are_exact(block_rows, monkeypatch):
         for word_bits in (63, 8):
             monkeypatch.setattr(backtracker, "WORD_BITS", word_bits)
             word_of = layout(inst)[0]
-            cuts, masks, _ = backtracker._tables(inst, *layout(inst))
+            cuts, masks, _ = backtracker._tables([inst], *layout(inst))[0]
             depth = np.repeat(np.arange(n), np.diff(cuts[::d]))
             earlier = np.arange(masks.shape[1]) < word_of[depth, None]
             spanning += int(((masks != 0) & earlier).any(axis=1).sum())
@@ -651,7 +689,7 @@ def test_count_only_memory_is_bounded_by_the_block(monkeypatch):
     block_rows = 2**8
     monkeypatch.setattr(backtracker, "BLOCK_ROWS", block_rows)
     crowd = crowded(200)
-    cuts = backtracker._tables(crowd, *layout(crowd))[0]
+    cuts = backtracker._tables([crowd], *layout(crowd))[0][0]
     assert cuts[6 * 4] - cuts[5 * 4] == 600 > 2 * block_rows
     dtypes = spy_dtypes(monkeypatch)
     for inst, word_bits, words, itemsize, levels in (

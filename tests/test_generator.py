@@ -188,6 +188,50 @@ def test_block_draws_drop_rejected_words(q, block_rows, monkeypatch):
     assert rejected > 0
 
 
+@pytest.mark.parametrize("block_rows", [None, 5, 37])
+def test_batch_draws_match_scalar_draws(block_rows, monkeypatch):
+    # batches of one to seven trials on random parameters, strict or not and
+    # some with t = 0; lowered BLOCK_ROWS puts a block boundary inside
+    # trials and a block across several
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    stream = SeedSpec(61, block_rows or 0).stream("batch")
+    empty = crossing = 0
+    for case in range(40):
+        d = 2 + stream.randbelow(4)
+        k = 2 + stream.randbelow(3)
+        n = k + stream.randbelow(20)
+        q = 1 + stream.randbelow(d - 1 if case % 2 else d**k)
+        params = Params(n=n, d=d, k=k, t=0 if case % 5 == 0 else stream.randbelow(30), q=q)
+        seeds = [SeedSpec(61, 100 * case + j) for j in range(1 + stream.randbelow(7))]
+        batch = generator.sample_batch(params, seeds, label="x")
+        assert len(batch) == len(seeds)
+        for seed, inst in zip(seeds, batch):
+            ref, _ = scalar_instance(params, seed, "x")
+            assert dumps_instance(inst) == dumps_instance(ref)
+            assert inst == ref
+        empty += params.t == 0
+        crossing += block_rows is not None and params.t % block_rows != 0 and len(seeds) > 1
+    assert empty
+    assert block_rows is None or crossing
+
+
+@pytest.mark.parametrize("block_rows", [None, 4, 7])
+def test_batch_draws_walk_rejected_words(block_rows, monkeypatch):
+    # d**k = 3**39 rejects about 12% of Floyd's words and n = 2**62 + 1
+    # about 25% of the first scope word's, so nearly every trial is walked
+    # from the block its first suspect word falls in; at n = 2**62 + 1 a row
+    # has 3 words, and a walked trial's later block may hold no suspect word
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    for params in (Params(n=40, d=3, k=39, t=30, q=1), Params(n=40, d=3, k=39, t=30, q=2),
+                   Params(n=2**62 + 1, d=2, k=2, t=30, q=1)):
+        seeds = [SeedSpec(5, j) for j in range(4)]
+        for seed, inst in zip(seeds, generator.sample_batch(params, seeds, label="x")):
+            ref, _ = scalar_instance(params, seed, "x")
+            assert dumps_instance(inst) == dumps_instance(ref)
+
+
 def test_arrays_refuse_parameters_they_cannot_hold():
     with pytest.raises(ValueError, match=r"^d\^k=36893488147419103232 > 2\^64: tuple ranks"):
         sample_instance(Params(n=70, d=2, k=65, t=1, q=1), SeedSpec(1, 0))

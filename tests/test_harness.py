@@ -1,12 +1,15 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from gbcsp import harness
 from gbcsp.harness import (
     CSV_HEADER,
+    MEASURES,
     ExperimentConfig,
     SummaryRow,
     emit_csv,
@@ -17,8 +20,9 @@ from gbcsp.harness import (
     run_sweep,
     summarize_point,
 )
+from gbcsp import backtracker, generator, uc
 from gbcsp.model import Params
-from reference import parse_csv
+from reference import parse_csv, reference_run_point
 
 
 @pytest.fixture
@@ -144,6 +148,53 @@ class TestSweep:
         first = run_point(params, 5, 5, ("nodes", "sat", "uc"))
         second = run_point(params, 5, 5, ("nodes", "sat", "uc"), trial_offset=5)
         assert first + second == full
+
+    @pytest.mark.parametrize("n, d, k, q", [(10, 3, 2, 2), (7, 2, 3, 1), (8, 3, 2, 4), (6, 2, 3, 5)])
+    def test_run_point_matches_the_per_trial_loop(self, n, d, k, q):
+        # every measure combination the point allows, at t = 0, below and
+        # above its density, with and without an offset
+        names = MEASURES if q < d else ("nodes", "sat")
+        combos = [m for size in range(1, len(names) + 1) for m in itertools.combinations(names, size)]
+        for t, offset in ((0, 3), (n // 2, 0), (3 * n, 17)):
+            params = Params(n=n, d=d, k=k, t=t, q=q)
+            for measures in combos:
+                records = run_point(params, 23, 41, measures, trial_offset=offset)
+                assert records == reference_run_point(params, 23, 41, measures, trial_offset=offset)
+
+    @pytest.mark.parametrize("params, measures", [
+        (Params(n=10, d=3, k=2, t=40, q=2), ("nodes", "sat", "uc")),
+        (Params(n=30, d=2, k=3, t=300, q=1), ("nodes",)),
+        (Params(n=10, d=2, k=5, t=30, q=20), ("sat",)),
+        (Params(n=12, d=4, k=2, t=80, q=3), ("uc",)),
+    ])
+    def test_batches_split_under_a_lowered_budget(self, params, measures, monkeypatch):
+        # A budget of 3.5 trials' charge, beside one UC run's state, runs 10
+        # trials in batches of 3, 3, 3 and 1 with the same records, and the
+        # traced peak of run_point stays under it.  These dense points have
+        # trees of a few prefixes: the walk's prefixes are bounded apart.
+        expected = run_point(params, 10, 8, measures)
+        trial = generator.batch_bytes(params)
+        if "nodes" in measures or "sat" in measures:
+            trial += backtracker.batch_bytes(params)
+        budget = int(3.5 * trial) + (uc.check_uc_size(params) if "uc" in measures else 0)
+        monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
+        sizes = []
+        sample_batch = harness.sample_batch
+
+        def spy(params, seeds, label):
+            sizes.append(len(seeds))
+            return sample_batch(params, seeds, label)
+
+        monkeypatch.setattr(harness, "sample_batch", spy)
+        tracemalloc.start()
+        try:
+            records = run_point(params, 10, 8, measures)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [3, 3, 3, 1]
+        assert records == expected
+        assert peak < budget
 
     def test_invalid_grid_point_skipped(self, capsys):
         config = small_config(t_grid=(-1, 0))

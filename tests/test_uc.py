@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from reference import reference_run_uc
 
-from gbcsp import generator
+from gbcsp import generator, uc
 from gbcsp.generator import sample_instance
 from gbcsp.model import ConstraintSpec, Instance, Params, is_consistent, violated_rows
 from gbcsp.oracle import random_strict_params
@@ -288,6 +288,37 @@ def test_array_recheck_agrees_with_is_consistent(param_stream):
             assert (not violated.any()) == expected
             seen[expected] += 1
     assert min(seen.values()) > 50
+
+
+def test_complete_check_agrees_with_violated_rows():
+    # run_uc's final check, row by row, on random complete assignments of
+    # strict and non-strict instances
+    stream = SeedSpec(921, 0).stream("complete-check")
+    seen = {True: 0, False: 0}
+    for trial in range(80):
+        d = 2 + stream.randbelow(3)
+        k = 2 + stream.randbelow(2)
+        n = k + stream.randbelow(5)
+        q = 1 + stream.randbelow(d - 1 if trial % 2 else d**k)
+        params = Params(n=n, d=d, k=k, t=stream.randbelow(4 * n + 1), q=q)
+        inst = sample_instance(params, SeedSpec(921, trial))
+        for _ in range(8):
+            values = [stream.randbelow(d) for _ in range(n)]
+            rows = uc._violated(inst.scopes, inst.incompatible, values).tolist()
+            assert rows == violated_rows(inst.scopes, inst.incompatible, values, n, d).tolist()
+            for row in rows:
+                seen[row] += 1
+    assert min(seen.values()) > 100
+
+
+def test_an_assignment_that_breaks_a_constraint_raises(monkeypatch):
+    # with the reduction skipped and every draw 0, the one free round ends
+    # the run and both variables are left at 0, which (0, 0) forbids
+    inst = build(2, 2, [((0, 1), {(0, 0)})])
+    monkeypatch.setattr(uc, "reduce_after_assignment", lambda state, var, value: setattr(state, "live", 0))
+    monkeypatch.setattr(uc, "below", lambda bound, words: 0)
+    with pytest.raises(RuntimeError, match=r"^unit-constraint run produced an unsatisfying assignment \(bug\)$"):
+        run_uc(inst, SeedSpec(1, 0))
 
 
 def test_unknown_names_the_emptied_constraint():
