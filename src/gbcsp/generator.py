@@ -17,25 +17,25 @@ constraint after another from one ``Stream``, each taking its k scope draws
 and then its q Floyd draws; ``tests/reference.py`` holds the scalar
 one-constraint-at-a-time draw that the tests hold this module to.
 
-``sample_batch`` makes the same draws for many trials at once, each from
-its own stream, and ``sample_instance`` is a batch of one.  A
-``randbelow(b)`` call with 1 < b <= 2**64 takes words until one is at most
-b's fixed limit, and b = 1 takes none, so without rejections every
-constraint uses the same w words at fixed offsets, and SplitMix64 being
-counter-based, row j of every trial is one ``rng.words_at`` expression over
-the stream states.  A rejected word is dropped, which moves every later word
-of its stream one offset on.  Only words above the lowest limit can be
-rejected, so only a stream that holds one is walked in order, from the row
-it first appears in, with ``Stream.next_block``.  Fisher-Yates then runs as
-k vector steps and Floyd as q vector steps over all rows of a block, and
-each row's sorted ranks are decoded once into the forbidden tuples of
-``model.Instance``; each instance's arrays are a slice of the batch's.  The
-result is the scalar draw exactly.  Blocks hold at most ``BLOCK_ROWS``
-rows, trial after trial; ``constraint_blocks`` yields them for one stream.
-The uint64 ranks need d**k <= 2**64 (the int64 scopes n <= 2**63); larger
-parameters are refused, and so is a t whose arrays would pass
-``MAX_INSTANCE_BYTES``.  ``batch_bytes`` charges one trial of a batch: its
-arrays, its words and the draw's temporaries.
+``sample_batch`` makes the same draws for many trials at once, each from its
+own stream, and ``sample_instance`` is a batch of one.  A ``randbelow(b)``
+call with 1 < b <= 2**64 takes words until one is at most b's fixed limit,
+and b = 1 takes none, so without rejections every constraint uses the same w
+words at fixed offsets, and SplitMix64 being counter-based, a block of rows
+of many trials is one ``rng.words_at`` expression over the streams' current
+states.  A rejected word is dropped, which moves every later word of its
+stream one offset on.  Only words above the lowest limit can be rejected, so
+a stream holding one in a block is walked from the block's start with
+``Stream.next_block``, and the others skip the block's words.  Fisher-Yates
+then runs as k vector steps and Floyd as q vector steps over all rows of a
+block, and each row's sorted ranks are decoded once into the forbidden
+tuples of ``model.Instance``; each instance's arrays are a slice of the
+batch's.  The result is the scalar draw exactly.  Blocks hold at most
+``BLOCK_ROWS`` rows, trial after trial; ``constraint_blocks`` yields them
+for one stream.  The uint64 ranks need d**k <= 2**64 (the int64 scopes
+n <= 2**63); larger parameters are refused, and so is a t whose arrays would
+pass ``MAX_INSTANCE_BYTES``.  ``batch_bytes`` charges one trial of a batch:
+its arrays, its words and the draw's temporaries.
 """
 
 from __future__ import annotations
@@ -150,38 +150,24 @@ def _draw(params: Params, plan: _Plan, u: np.ndarray) -> tuple[np.ndarray, np.nd
 def _blocks(params: Params, plan: _Plan, streams: list[Stream], count: int):
     """The next ``count`` constraints of each of ``streams``, stream after
     stream, as (scopes, incompatible) blocks of at most ``BLOCK_ROWS`` rows:
-    whole streams' rows, or when count > BLOCK_ROWS part of one stream's;
-    every stream is left where its draws leave it.  Row j of a stream takes
-    its words j * width + 1, ... from one ``words_at`` over the block, until
-    a row holds a word above the lowest limit: from that row on the stream's
-    rows are walked in order by ``_accepted_words``."""
-    width = plan.width
-    states = np.array([stream.state for stream in streams], dtype=np.uint64)[:, None]
-    if count > BLOCK_ROWS:
-        pieces = [(i, i + 1, j, min(j + BLOCK_ROWS, count))
-                  for i in range(len(streams)) for j in range(0, count, BLOCK_ROWS)]
-    else:
-        per = BLOCK_ROWS // max(count, 1)
-        pieces = [(i, min(i + per, len(streams)), 0, count) for i in range(0, len(streams), per)]
-    walked: set[int] = set()
-    for a, b, lo, hi in pieces:
-        rows = hi - lo  # of each stream in the block
-        u = words_at(states[a:b], np.arange(lo * width + 1, hi * width + 1, dtype=np.uint64)).reshape(-1, width)
-        # a walked stream goes on at its first row here, another from its
-        # first row holding a word above the lowest limit
-        first = {a: 0} if a in walked else {}
-        for f in np.flatnonzero(u > plan.lowest).tolist():
-            first.setdefault(a + f // width // rows, f // width)
-        for i, r in first.items():
-            if i not in walked:
-                walked.add(i)
-                streams[i].skip((lo + r % rows) * width)
-            end = (i - a + 1) * rows
-            u[r:end] = _accepted_words(plan, (end - r) * width, streams[i]).reshape(end - r, width)
-        yield _draw(params, plan, u)
-    for i, stream in enumerate(streams):
-        if i not in walked:
-            stream.skip(count * width)
+    whole streams' rows, or when count > BLOCK_ROWS part of one stream's.  A
+    block's words come from one ``words_at`` over the streams' current
+    states; a stream holding one above the lowest limit is walked from the
+    block's start by ``_accepted_words``, and every other stream skips them,
+    so each stream is left where its draws leave it."""
+    group = max(1, BLOCK_ROWS // max(count, 1))  # streams in a block
+    for a in range(0, len(streams), group):
+        part = streams[a : a + group]
+        for lo in range(0, count, BLOCK_ROWS):
+            size = min(BLOCK_ROWS, count - lo) * plan.width  # words of each stream
+            states = np.array([stream.state for stream in part], dtype=np.uint64)[:, None]
+            u = words_at(states, np.arange(1, size + 1, dtype=np.uint64))
+            for stream, words, walk in zip(part, u, (u > plan.lowest).any(axis=1).tolist()):
+                if walk:
+                    words[:] = _accepted_words(plan, size, stream)
+                else:
+                    stream.skip(size)
+            yield _draw(params, plan, u.reshape(-1, plan.width))
 
 
 def constraint_blocks(params: Params, count: int, stream: Stream) -> Iterator[tuple[np.ndarray, np.ndarray]]:

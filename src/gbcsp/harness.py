@@ -18,9 +18,9 @@ is one ``solve_all`` on its prepared rows and one ``run_uc``.  A batch is
 charged as a whole before it is drawn: each trial its arrays, words and
 draw temporaries (``generator.batch_bytes``) and, when solved, its rows and
 state (``backtracker.batch_bytes``), beside one UC run's state, against
-``generator.MAX_INSTANCE_BYTES``, and holds at most one draw block of
-``generator.BLOCK_ROWS`` constraints.  A batch shrinks to one trial at the
-least, so the batch never refuses a point the per-trial checks accept.
+``generator.MAX_INSTANCE_BYTES``, and holds at most ``BATCH_ROWS``
+constraints.  A batch shrinks to one trial at the least, so ``run_sweep``
+skips just the points whose batch of one trial that charge refuses.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import sys
 from dataclasses import dataclass
 
 from . import analytics, backtracker, generator
-from .backtracker import check_solve_size, prepare, solve_all
+from .backtracker import prepare, solve_all
 
-# sample_instance is not called here; it stays importable from this module
-# because perfbench/tracing.py wraps harness.sample_instance.
-from .generator import check_instance_size, sample_batch, sample_instance  # noqa: F401
+# sample_instance is not called here; perfbench/tracing.py wraps harness.sample_instance.
+from .generator import sample_batch, sample_instance  # noqa: F401
 from .model import Params, require_int
 from .rng import SeedSpec
 from .uc import check_uc_size, run_uc
@@ -44,6 +43,9 @@ from .uc import check_uc_size, run_uc
 CSV_HEADER = "t,r,trials,mean_nodes,stderr_nodes,sat_fraction,uc_success,log_T_exact,log_T_asym,z_score"
 
 MEASURES = ("nodes", "sat", "uc")
+
+# Most constraint rows in one run_point batch; larger batches run no faster.
+BATCH_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,15 @@ def _batch_size(params: Params, measures) -> int:
     """Trials one batch of ``run_point`` holds: as many as fit
     ``generator.MAX_INSTANCE_BYTES`` beside the state of one UC run
     (``uc.check_uc_size``) when uc is measured, and whose constraints fit
-    one draw block of ``generator.BLOCK_ROWS`` rows, and at least one.  A
-    trial is charged ``generator.batch_bytes`` and, when it is solved,
+    ``BATCH_ROWS``, and at least one.  A trial is charged
+    ``generator.batch_bytes`` and, when it is solved,
     ``backtracker.batch_bytes``.  Each charge refuses a point that one
     trial passes the budget on."""
     trial = generator.batch_bytes(params)
     if "nodes" in measures or "sat" in measures:
         trial += backtracker.batch_bytes(params)
     room = generator.MAX_INSTANCE_BYTES - (check_uc_size(params) if "uc" in measures else 0)
-    return max(1, min(room // trial, generator.BLOCK_ROWS // max(params.t, 1)))
+    return max(1, min(room // trial, BATCH_ROWS // max(params.t, 1)))
 
 
 def run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0):
@@ -210,18 +212,14 @@ def summarize_point(params: Params, records, measures) -> SummaryRow:
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
-    """All grid points; invalid points and points over the memory budget are
-    reported and skipped.  A pool of ``workers = min(jobs, CPUs)`` runs pieces
-    of ``max(1, trials // (workers * 8))`` trials, joined in order."""
+    """All grid points; invalid points and points ``_batch_size`` refuses
+    are reported and skipped.  A pool of ``workers = min(jobs, CPUs)`` runs
+    pieces of ``max(1, trials // (workers * 8))`` trials, joined in order."""
     points = []
     for t in config.t_grid:
         try:
             params = Params(n=config.n, d=config.d, k=config.k, t=t, q=config.q)
-            check_instance_size(params)
-            if "nodes" in config.measures or "sat" in config.measures:
-                check_solve_size(params)
-            if "uc" in config.measures:
-                check_uc_size(params)
+            _batch_size(params, config.measures)
             points.append(params)
         except (ValueError, TypeError) as exc:
             print(f"skipping grid point t={t}: {exc}", file=sys.stderr)

@@ -232,6 +232,35 @@ def test_batch_draws_walk_rejected_words(block_rows, monkeypatch):
             assert dumps_instance(inst) == dumps_instance(ref)
 
 
+def test_batch_walks_a_stream_across_blocks_beside_skipped_ones(monkeypatch):
+    # n = 2**64 / 50.5 rejects about 1% of scope words, and blocks of 4 rows
+    # cut each trial's 30 rows into 8 blocks: with these seeds one stream is
+    # walked in three blocks, another in two, and the other two never, so
+    # they skip every block
+    monkeypatch.setattr(generator, "BLOCK_ROWS", 4)
+    params = Params(n=365282060865535680, d=2, k=2, t=30, q=1)
+    seeds = [SeedSpec(7, j) for j in range(48, 52)]
+    walks = Counter()
+    accepted_words = generator._accepted_words
+
+    def spy(plan, count, stream):
+        walks[id(stream)] += 1
+        return accepted_words(plan, count, stream)
+
+    monkeypatch.setattr(generator, "_accepted_words", spy)
+    for seed, inst in zip(seeds, generator.sample_batch(params, seeds, label="x")):
+        ref, _ = scalar_instance(params, seed, "x")
+        assert dumps_instance(inst) == dumps_instance(ref)
+    assert sorted(walks.values()) == [2, 3]
+    for seed in seeds:
+        # one stream's blocks leave it where the scalar draws do
+        block_stream, scalar_stream = seed.stream("x"), seed.stream("x")
+        list(generator.constraint_blocks(params, params.t, block_stream))
+        for _ in range(params.t):
+            sample_constraint(params, scalar_stream)
+        assert block_stream.next_u64() == scalar_stream.next_u64()
+
+
 def test_arrays_refuse_parameters_they_cannot_hold():
     with pytest.raises(ValueError, match=r"^d\^k=36893488147419103232 > 2\^64: tuple ranks"):
         sample_instance(Params(n=70, d=2, k=65, t=1, q=1), SeedSpec(1, 0))

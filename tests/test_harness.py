@@ -196,6 +196,28 @@ class TestSweep:
         assert records == expected
         assert peak < budget
 
+    def test_batches_hold_at_most_batch_rows(self, monkeypatch):
+        # 250 trials of 40 constraints run in batches of BATCH_ROWS // 40
+        # trials though the byte budget holds them all, and a lower cap
+        # splits them otherwise with the same records
+        params = Params(n=10, d=3, k=2, t=40, q=2)
+        sizes = []
+        sample_batch = harness.sample_batch
+
+        def spy(params, seeds, label):
+            sizes.append(len(seeds))
+            return sample_batch(params, seeds, label)
+
+        monkeypatch.setattr(harness, "sample_batch", spy)
+        records = run_point(params, 250, 3, MEASURES)
+        cap = harness.BATCH_ROWS // params.t
+        assert cap == 102
+        assert sizes == [cap, cap, 250 - 2 * cap]
+        monkeypatch.setattr(harness, "BATCH_ROWS", 7 * params.t)
+        sizes.clear()
+        assert run_point(params, 250, 3, MEASURES) == records
+        assert max(sizes) == 7 and sum(sizes) == 250
+
     def test_invalid_grid_point_skipped(self, capsys):
         config = small_config(t_grid=(-1, 0))
         rows = run_sweep(config)
