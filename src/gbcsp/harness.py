@@ -11,16 +11,20 @@ round-trip repr.  With ``jobs > 1`` a sweep runs pieces of every point's
 trials through ``run_point`` on one pool of at most ``jobs`` workers (and
 no more than the machine's CPUs), so the worker count never changes a row.
 
-``run_point`` runs its trials in batches: a batch draws all its instances
-in one ``generator.sample_batch`` and, when nodes or sat are measured,
-builds all their check rows in one ``backtracker.prepare``; then each trial
-is one ``solve_all`` on its prepared rows and one ``run_uc``.  A batch is
-charged as a whole before it is drawn: each trial its arrays, words and
-draw temporaries (``generator.batch_bytes``) and, when solved, its rows and
-state (``backtracker.batch_bytes``), beside one UC run's state, against
-``generator.MAX_INSTANCE_BYTES``, and holds at most ``BATCH_ROWS``
-constraints.  A batch shrinks to one trial at the least, so ``run_sweep``
-skips just the points whose batch of one trial that charge refuses.
+``run_point`` runs its trials in batches, each phase by phase: it draws
+all the batch's instances in one ``generator.sample_batch``; when nodes or
+sat are measured it builds all their check rows in one
+``backtracker.prepare`` and solves each trial with ``solve_all``; when uc
+is measured it builds all their UC states and first words in one
+``uc.prepare`` and runs each trial with ``run_uc``; then it lines the
+records up in trial order.  A batch is charged as a whole before it is
+drawn: each trial its arrays, words and draw temporaries
+(``generator.batch_bytes``), its check rows and solver state when solved
+(``backtracker.batch_bytes``) and its UC state when uc is measured
+(``uc.check_uc_size``), against ``generator.MAX_INSTANCE_BYTES``, and it
+holds at most ``BATCH_ROWS`` constraints.  A batch shrinks to one trial
+at the least, so ``run_sweep`` skips just the points whose batch of one
+trial that charge refuses.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import analytics, backtracker, generator
-from .backtracker import prepare, solve_all
+from . import analytics, backtracker, generator, uc
+from .backtracker import solve_all
 
 # sample_instance is not called here; perfbench/tracing.py wraps harness.sample_instance.
 from .generator import sample_batch, sample_instance  # noqa: F401
@@ -129,42 +133,54 @@ class SummaryRow:
 
 def _batch_size(params: Params, measures) -> int:
     """Trials one batch of ``run_point`` holds: as many as fit
-    ``generator.MAX_INSTANCE_BYTES`` beside the state of one UC run
-    (``uc.check_uc_size``) when uc is measured, and whose constraints fit
+    ``generator.MAX_INSTANCE_BYTES`` and whose constraints fit
     ``BATCH_ROWS``, and at least one.  A trial is charged
-    ``generator.batch_bytes`` and, when it is solved,
-    ``backtracker.batch_bytes``.  Each charge refuses a point that one
-    trial passes the budget on."""
+    ``generator.batch_bytes``, ``backtracker.batch_bytes`` when it is
+    solved and its UC state (``uc.check_uc_size``) when uc is measured.
+    Each charge refuses a point that one trial passes the budget on."""
     trial = generator.batch_bytes(params)
     if "nodes" in measures or "sat" in measures:
         trial += backtracker.batch_bytes(params)
-    room = generator.MAX_INSTANCE_BYTES - (check_uc_size(params) if "uc" in measures else 0)
-    return max(1, min(room // trial, BATCH_ROWS // max(params.t, 1)))
+    if "uc" in measures:
+        trial += check_uc_size(params)
+    return max(1, min(generator.MAX_INSTANCE_BYTES // trial, BATCH_ROWS // max(params.t, 1)))
 
 
-def run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0):
+def _run_batch(params: Params, seeds: list[SeedSpec], measures, instance_label: str, uc_label: str):
+    """The records of one batch, made phase by phase: draw every instance,
+    build their check rows and solve each, then prepare their UC runs and
+    run each."""
+    batch = sample_batch(params, seeds, label=instance_label)
+    nodes = sat = uc_ok = [None] * len(batch)
+    if "nodes" in measures or "sat" in measures:
+        stats = [solve_all(inst, prepared=rows) for inst, rows in zip(batch, backtracker.prepare(batch))]
+        if "nodes" in measures:
+            nodes = [s.nodes for s in stats]
+        if "sat" in measures:
+            sat = [s.solution_count > 0 for s in stats]
+    if "uc" in measures:
+        uc_ok = [run_uc(inst, seed, label=uc_label, prepared=entry).found
+                 for inst, seed, entry in zip(batch, seeds, uc.prepare(batch, seeds, uc_label))]
+    return list(zip([seed.stream_index for seed in seeds], nodes, sat, uc_ok))
+
+
+def run_point(params: Params, trials: int, master_seed: int, measures, trial_offset: int = 0, *,
+              instance_label: str | None = None, uc_label: str | None = None):
     """Per-trial records, in trial order, for one grid point.
 
     Trial j's draws depend only on (master_seed, trial_offset + j, point), so
     one 2N-trial run splits into two N-trial runs that pool identically.
-    The trials run in batches of ``_batch_size`` (module docstring).
+    The point's streams carry ``instance_label`` and ``uc_label``, by
+    default ``instance/t{t}`` and ``uc/t{t}``.  The trials run in batches
+    of ``_batch_size`` (module docstring).
     """
-    solve = "nodes" in measures or "sat" in measures
+    instance_label = f"instance/t{params.t}" if instance_label is None else instance_label
+    uc_label = f"uc/t{params.t}" if uc_label is None else uc_label
     size = _batch_size(params, measures)
     records = []
     for start in range(trial_offset, trial_offset + trials, size):
         seeds = [SeedSpec(master_seed, trial) for trial in range(start, min(start + size, trial_offset + trials))]
-        batch = sample_batch(params, seeds, label=f"instance/t{params.t}")
-        rows = prepare(batch) if solve else [None] * len(batch)
-        for seed, inst, prepared in zip(seeds, batch, rows):
-            nodes = sat = uc_ok = None
-            if solve:
-                stats = solve_all(inst, prepared=prepared)
-                nodes = stats.nodes if "nodes" in measures else None
-                sat = (stats.solution_count > 0) if "sat" in measures else None
-            if "uc" in measures:
-                uc_ok = run_uc(inst, seed, label=f"uc/t{params.t}").found
-            records.append((seed.stream_index, nodes, sat, uc_ok))
+        records += _run_batch(params, seeds, measures, instance_label, uc_label)
     return records
 
 

@@ -21,14 +21,17 @@ tuples.
 State.  Everything is a flat sequence of ints built from the instance
 arrays by a few numpy calls, so a run allocates no object per constraint;
 the two index sequences are memoryviews of int64 arrays, which index to
-ints without holding an int object per entry:
+ints without holding an int object per entry.  ``prepare`` builds the
+states of a batch of runs on instances of one Params at once, with one
+``bitwise_or.at`` for all their keep rows and one stable argsort of their
+scopes, offset by instance; each run's state is slices of these:
 
 - ``scopes[f]`` is the variable at flat scope position ``f = cid * k + pos``
-  (a view of the instance's scopes).
+  (a view of the batch's scopes).
 - ``var_entries`` lists, for each variable, the flat scope positions holding
   it, in ascending constraint id; variable v's entries are
-  ``var_entries[var_start[v]:var_start[v + 1]]`` (a stable argsort of the
-  flattened scopes).
+  ``var_entries[var_start[v]:var_start[v + 1]]`` (the run's slice of the
+  batch's argsort, counted from its first flat position).
 - ``keep[v][f]`` has bit j set when constraint cid's j-th forbidden tuple
   (lexicographic order) has value v at scope position pos: one row per
   value, one entry per flat scope position.
@@ -58,11 +61,15 @@ value below(d).  Leftover variables take their values in ascending order.
 Each draw is ``rng.below``: the first word under the largest multiple of
 the bound at most 2**64, mod the bound, and a bound of 1 takes no word.
 The words are those of ``Stream.next_u64`` on the run's stream, computed
-in chunks of min(2n, ``WORD_CHUNK``) by ``Stream.next_block``; a run takes
-about two words a round, so small runs compute one chunk.  The unset
-variables and the units live in lists kept sorted ascending, so the idx-th
-smallest is one index and removing an entry is a binary search plus one
-``del``.
+in chunks of min(2n, ``WORD_CHUNK``); a run takes about two words a
+round, so small runs use one chunk.  A run's first chunk comes from its
+batch: ``prepare`` computes the first chunk of every run in one
+``rng.words_at`` over their streams' states and leaves each stream after
+its chunk, and ``Stream.next_block`` computes any later chunk.  A lone
+``run_uc`` prepares a batch of one, and ``harness.run_point`` prepares
+each batch of trials.  The unset variables and the units live in lists
+kept sorted ascending, so the idx-th smallest is one index and removing an
+entry is a binary search plus one ``del``.
 
 Only strict instances (q < d) are accepted: a unit then always has at most
 q < d forbidden values, so a satisfying value for it exists.  Empty
@@ -83,7 +90,7 @@ from . import generator
 # is_consistent is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps uc.is_consistent.
 from .model import Instance, Params, is_consistent  # noqa: F401
-from .rng import SeedSpec, Stream, below
+from .rng import SeedSpec, Stream, below, words_at
 
 SOLUTION_FOUND = "solution_found"
 UNKNOWN = "unknown"
@@ -153,31 +160,52 @@ class UCState:
     value_of: list[int]
 
     @classmethod
-    def from_instance(cls, inst: Instance) -> "UCState":
-        params = inst.params
+    def of_batch(cls, batch: list[Instance]) -> list["UCState"]:
+        """A fresh state for each instance of ``batch`` (all of one Params),
+        built from the batch's arrays at once: one ``bitwise_or.at`` for
+        every run's keep rows, and one stable argsort of the scopes, offset
+        by instance, for every run's ``var_entries`` and ``var_start``."""
+        params = batch[0].params
         n, d, k, t, q = params.n, params.d, params.k, params.t, params.q
-        # OR bit j into keep[v][f] for tuple j's value v at every position f
+        runs, entries = len(batch), t * k
+        if runs == 1:
+            scopes, incompatible = batch[0].scopes, batch[0].incompatible
+        else:
+            scopes = np.concatenate([inst.scopes for inst in batch])
+            incompatible = np.concatenate([inst.incompatible for inst in batch])
+        flat = scopes.reshape(-1)
+        # OR bit j into keep[v][g] for tuple j's value v at every batch flat
+        # position g; run i's rows are keep[v][i * entries : (i + 1) * entries]
         dtype = np.min_scalar_type((1 << q) - 1)
-        keep = np.zeros((d, t * k), dtype)
+        keep = np.zeros((d, runs * entries), dtype)
         bits = np.array([1 << j for j in range(q)], dtype)
-        np.bitwise_or.at(keep, (inst.incompatible, np.arange(t * k).reshape(t, 1, k)), bits[:, None])
-        flat = inst.scopes.ravel()
-        # numpy's stable sort is a radix sort for 8- and 16-bit integers, so
-        # sort in the narrowest dtype holding 0..n-1
-        order = flat.astype(np.min_scalar_type(n - 1)).argsort(kind="stable")
-        return cls(
-            n=n, k=k,
-            scopes=memoryview(flat),
-            var_start=flat[order].searchsorted(np.arange(n + 1)).tolist(),
-            var_entries=memoryview(order),
-            keep=keep.tolist(),
-            masks=[(1 << q) - 1] * t,
-            free=[k] * t,
-            live=t,
-            units=[],
-            unset=list(range(n)),
-            value_of=[-1] * n,
-        )
+        np.bitwise_or.at(keep, (incompatible, np.arange(runs * entries).reshape(runs * t, 1, k)), bits[:, None])
+        # run i's variable v has key i * n + v; numpy's stable sort is a radix
+        # sort for 8- and 16-bit integers, so sort in the narrowest dtype
+        # holding the keys.  A lone run offsets nothing.
+        keys = flat.astype(np.min_scalar_type(runs * n - 1))
+        if runs > 1:
+            keys += np.arange(0, runs * n, n, dtype=keys.dtype).repeat(entries)
+        order = keys.argsort(kind="stable")
+        starts = keys[order].searchsorted(np.arange(0, runs * n, n)[:, None] + np.arange(n + 1))
+        del keys  # let it go before the lists are built
+        if runs > 1:  # each run's positions, counted from its first
+            starts -= (np.arange(runs) * entries)[:, None]
+            order -= (np.arange(runs) * entries).repeat(entries)
+        scopes, order, full = memoryview(flat), memoryview(order), (1 << q) - 1
+        starts, keep = starts.tolist(), keep.reshape(d, runs, entries).transpose(1, 0, 2).tolist()
+        return [cls(n=n, k=k,
+                    scopes=scopes[i * entries : i * entries + entries],
+                    var_start=starts[i],
+                    var_entries=order[i * entries : i * entries + entries],
+                    keep=keep[i],
+                    masks=[full] * t,
+                    free=[k] * t,
+                    live=t,
+                    units=[],
+                    unset=list(range(n)),
+                    value_of=[-1] * n)
+                for i in range(runs)]
 
 
 def reduce_after_assignment(state: UCState, var: int, value: int) -> None:
@@ -237,20 +265,50 @@ def _violated(scopes: np.ndarray, incompatible: np.ndarray, assignment) -> np.nd
     return (incompatible == values[scopes][:, None, :]).all(axis=2).any(axis=1)
 
 
-def _words(stream: Stream, chunk: int) -> Iterator[int]:
-    """The words of ``stream.next_u64``, computed ``chunk`` at a time."""
+def _words(stream: Stream, chunk: int, first: Iterator[int]) -> Iterator[int]:
+    """The words of ``first``, then of ``stream.next_u64``, computed
+    ``chunk`` at a time; an iterator over a list lets the list go once
+    it is taken."""
+    yield from first
     while True:
         yield from stream.next_block(chunk).tolist()
 
 
-def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
-    """One randomized run; SOLUTION_FOUND outcomes carry a verified assignment."""
-    params = inst.params
+def prepare(batch: list[Instance], seeds: list[SeedSpec], label: str = "uc") -> list:
+    """What the runs on ``batch`` (all of one strict Params), run i on
+    ``seeds[i]``'s ``label`` stream, build before their loops: per run its
+    ``UCState`` and its words, whose first chunk of min(2n, ``WORD_CHUNK``)
+    comes from one ``rng.words_at`` over all the streams' states, each
+    stream left after its chunk.  Each entry serves one run.  Raises
+    ValueError for q >= d, a batch of mixed Params or not one seed per
+    instance, and, through ``check_uc_size``, for one run's state over
+    ``generator.MAX_INSTANCE_BYTES``."""
+    params = batch[0].params
     if not params.strict:
         raise ValueError(f"unit-constraint heuristic requires q < d, got q={params.q}, d={params.d}")
+    if any(inst.params != params for inst in batch):
+        raise ValueError("a batch's instances must share one Params")
     check_uc_size(params)
-    state = UCState.from_instance(inst)
-    words = _words(seed.stream(label), min(2 * params.n, WORD_CHUNK))
+    runs = UCState.of_batch(batch)
+    chunk = min(2 * params.n, WORD_CHUNK)
+    streams = [seed.stream(label) for seed in seeds]
+    states = np.array([stream.state for stream in streams], dtype=np.uint64)[:, None]
+    first = words_at(states, np.arange(1, chunk + 1, dtype=np.uint64)).tolist()
+    for stream in streams:
+        stream.skip(chunk)
+    return [(state, _words(stream, chunk, iter(words)))
+            for state, stream, words in zip(runs, streams, first, strict=True)]
+
+
+def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc", prepared=None) -> UCOutcome:
+    """One randomized run; SOLUTION_FOUND outcomes carry a verified
+    assignment.  ``prepared``, the entry of ``prepare(batch, seeds, label)``
+    for ``inst`` and ``seed``, replaces building the state and first words
+    here, where ``run_uc`` prepares a batch of one."""
+    if prepared is None:
+        (prepared,) = prepare([inst], [seed], label)
+    state, words = prepared
+    params = inst.params
     d, k = params.d, params.k
     scopes, keep, masks, units, unset, value_of = (
         state.scopes, state.keep, state.masks, state.units, state.unset, state.value_of)
@@ -280,14 +338,12 @@ def run_uc(inst: Instance, seed: SeedSpec, label: str = "uc") -> UCOutcome:
 
 def uc_success_rate(params, trials: int, master_seed: int) -> float:
     """Fraction of trials certifying a solution; one fresh instance and one
-    fresh run per trial, on decorrelated streams."""
+    fresh run per trial, on decorrelated streams: the uc records of
+    ``harness.run_point`` on the stream labels "instance" and "uc"."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_uc_size(params)
-    hits = 0
-    for trial in range(trials):
-        spec = SeedSpec(master_seed, trial)
-        inst = generator.sample_instance(params, spec)
-        if run_uc(inst, spec).found:
-            hits += 1
-    return hits / trials
+    from .harness import run_point  # harness imports this module
+
+    records = run_point(params, trials, master_seed, ("uc",), instance_label="instance", uc_label="uc")
+    return sum(1 for rec in records if rec[3]) / trials

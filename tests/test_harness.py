@@ -168,15 +168,18 @@ class TestSweep:
         (Params(n=12, d=4, k=2, t=80, q=3), ("uc",)),
     ])
     def test_batches_split_under_a_lowered_budget(self, params, measures, monkeypatch):
-        # A budget of 3.5 trials' charge, beside one UC run's state, runs 10
-        # trials in batches of 3, 3, 3 and 1 with the same records, and the
-        # traced peak of run_point stays under it.  These dense points have
-        # trees of a few prefixes: the walk's prefixes are bounded apart.
+        # A budget of 3.5 trials' charge, each trial's UC state included,
+        # runs 10 trials in batches of 3, 3, 3 and 1 with the same records,
+        # and the traced peak of run_point stays under it.  These dense
+        # points have trees of a few prefixes: the walk's prefixes are
+        # bounded apart.
         expected = run_point(params, 10, 8, measures)
         trial = generator.batch_bytes(params)
         if "nodes" in measures or "sat" in measures:
             trial += backtracker.batch_bytes(params)
-        budget = int(3.5 * trial) + (uc.check_uc_size(params) if "uc" in measures else 0)
+        if "uc" in measures:
+            trial += uc.check_uc_size(params)
+        budget = int(3.5 * trial)
         monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", budget)
         sizes = []
         sample_batch = harness.sample_batch
@@ -217,6 +220,45 @@ class TestSweep:
         sizes.clear()
         assert run_point(params, 250, 3, MEASURES) == records
         assert max(sizes) == 7 and sum(sizes) == 250
+
+    def test_a_batch_prepares_its_uc_runs_together(self, monkeypatch):
+        # 25 trials in batches of 10: one uc.prepare a batch, after every
+        # solve of the batch, and one harness.run_uc a trial
+        params = Params(n=10, d=3, k=2, t=20, q=2)
+        expected = run_point(params, 25, 4, MEASURES)
+        calls = []
+        prepare, run_uc, solve_all = uc.prepare, harness.run_uc, harness.solve_all
+
+        def spy(name, fn):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return called
+
+        monkeypatch.setattr(harness, "BATCH_ROWS", 10 * params.t)
+        monkeypatch.setattr(uc, "prepare", spy("prepare", prepare))
+        monkeypatch.setattr(harness, "run_uc", spy("run_uc", run_uc))
+        monkeypatch.setattr(harness, "solve_all", spy("solve", solve_all))
+        assert run_point(params, 25, 4, MEASURES) == expected
+        assert calls == sum((["solve"] * size + ["prepare"] + ["run_uc"] * size for size in (10, 10, 5)), [])
+
+    def test_a_uc_batch_peaks_under_its_charge(self, monkeypatch):
+        # Every run's state is built before the first run, so each trial is
+        # charged its own: at n = 100000 a trial is charged about 8.6 MiB,
+        # and a batch of three under a budget of 3.5 trials' charge peaks
+        # under three charges.
+        params = Params(n=100000, d=2, k=2, t=10, q=1)
+        trial = generator.batch_bytes(params) + uc.check_uc_size(params)
+        monkeypatch.setattr(generator, "MAX_INSTANCE_BYTES", int(3.5 * trial))
+        assert harness._batch_size(params, ("uc",)) == 3
+        tracemalloc.start()
+        try:
+            records = run_point(params, 4, 9, ("uc",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rec[3] for rec in records] == [True] * 4
+        assert peak < 3 * trial
 
     def test_invalid_grid_point_skipped(self, capsys):
         config = small_config(t_grid=(-1, 0))

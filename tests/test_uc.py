@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -33,6 +34,11 @@ def build(n, d, constraints, q=None):
     )
 
 
+def fresh_state(inst):
+    """A run's state before its first round."""
+    return UCState.of_batch([inst])[0]
+
+
 def reduced(state):
     """{cid: (remaining scope, projected forbidden tuples)} for every live
     constraint, rebuilt from the flat state: the surviving tuples are the
@@ -61,7 +67,7 @@ def reduced(state):
 class TestReduce:
     def test_keep_and_project_to_unit(self):
         inst = build(2, 2, [((0, 1), {(0, 0), (1, 1)})])
-        state = UCState.from_instance(inst)
+        state = fresh_state(inst)
         reduce_after_assignment(state, 0, 0)
         scope, tuples = reduced(state)[0]
         assert scope == [1]
@@ -72,7 +78,7 @@ class TestReduce:
         # variable 0 <- 0 keeps the constraint as a unit forbidding value 0
         # of variable 1; serving it forces 1 <- 1, which removes it
         inst = build(2, 2, [((0, 1), {(0, 0)})])
-        state = UCState.from_instance(inst)
+        state = fresh_state(inst)
         reduce_after_assignment(state, 0, 0)
         assert reduced(state)[0] == ([1], {(0,)})
         # variable 1 sits at flat position 1; run_uc's allowed values there
@@ -85,14 +91,14 @@ class TestReduce:
 
     def test_value_absent_removes_constraint(self):
         inst = build(2, 2, [((0, 1), {(1, 1)})])
-        state = UCState.from_instance(inst)
+        state = fresh_state(inst)
         reduce_after_assignment(state, 0, 0)
         assert reduced(state) == {}
         assert state.units == []
 
     def test_unit_hit_raises_empty_signal(self):
         # 0 <- 0 leaves a unit forbidding value 0 of variable 1
-        state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
+        state = fresh_state(build(2, 2, [((0, 1), {(0, 0)})]))
         reduce_after_assignment(state, 0, 0)
         assert reduced(state) == {0: ([1], {(0,)})}
         with pytest.raises(EmptyConstraintSignal) as empty:
@@ -103,7 +109,7 @@ class TestReduce:
     def test_two_units_one_variable_conflict(self):
         # serving one unit forces a value the other forbids
         inst = build(2, 2, [((0, 1), {(0, 0)}), ((0, 1), {(0, 1)})])
-        state = UCState.from_instance(inst)
+        state = fresh_state(inst)
         reduce_after_assignment(state, 0, 0)
         assert len(state.units) == 2
         live = reduced(state)
@@ -119,7 +125,7 @@ class TestReduce:
 
     @pytest.mark.parametrize("var", [0, 2, -1])
     def test_assign_rejects_assigned_and_unknown_variables(self, var):
-        state = UCState.from_instance(build(2, 2, [((0, 1), {(0, 0)})]))
+        state = fresh_state(build(2, 2, [((0, 1), {(0, 0)})]))
         reduce_after_assignment(state, 0, 1)
         with pytest.raises(ValueError, match="is assigned or outside"):
             reduce_after_assignment(state, var, 0)
@@ -131,7 +137,7 @@ class TestReduce:
             if params.t == 0:
                 continue
             inst = sample_instance(params, SeedSpec(313, trial))
-            state = UCState.from_instance(inst)
+            state = fresh_state(inst)
             arity = {cid: len(scope) for cid, (scope, _) in reduced(state).items()}
             for var in range(params.n):
                 value = param_stream.randbelow(params.d)
@@ -156,7 +162,7 @@ class TestReductionSemantics:
             if params.t == 0:
                 continue
             inst = sample_instance(params, SeedSpec(414, trial))
-            state = UCState.from_instance(inst)
+            state = fresh_state(inst)
             n_assign = 1 + param_stream.randbelow(params.n - 1)
             assigned = {}
             failed = False
@@ -360,6 +366,57 @@ def test_matches_the_reference_on_random_strict_sets():
     assert min(tags.count(SOLUTION_FOUND), tags.count(UNKNOWN)) > 500
 
 
+def _batched_runs(params, seeds, label="uc"):
+    """(tag, assignment, conflict) of each run of one prepared batch, and
+    of ``reference_run_uc`` on the same instances and seeds."""
+    batch = generator.sample_batch(params, seeds)
+    runs = [run_uc(inst, seed, label, prepared=entry)
+            for inst, seed, entry in zip(batch, seeds, uc.prepare(batch, seeds, label))]
+    return ([(out.tag, out.assignment, out.conflict) for out in runs],
+            [reference_run_uc(inst, seed, label) for inst, seed in zip(batch, seeds)])
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_prepared_batches_match_the_reference(chunk, monkeypatch):
+    """Runs prepared together, in batches of 1 to 40 (t = 0 included), give
+    the reference's outcome draw for draw; with 3-word chunks every run
+    goes past its batch's first chunk."""
+    if chunk is not None:
+        monkeypatch.setattr(uc, "WORD_CHUNK", chunk)
+    stream = SeedSpec(28, 0).stream("uc-batches")
+    tags = []
+    for trial in range(120):
+        params = _random_strict(stream)
+        if trial % 10 == 0:
+            params = dataclasses.replace(params, t=0)
+        seeds = [SeedSpec(29, trial * 64 + j) for j in range(1 + stream.randbelow(1 if trial % 3 == 0 else 40))]
+        got, expected = _batched_runs(params, seeds)
+        assert got == expected
+        tags += [tag for tag, _, _ in got]
+    assert min(tags.count(SOLUTION_FOUND), tags.count(UNKNOWN)) > 200
+
+
+def test_prepare_refuses_what_run_uc_refuses():
+    strict = generator.sample_batch(Params(n=6, d=3, k=2, t=4, q=2), [SeedSpec(31, 0)])
+    with pytest.raises(ValueError, match="q < d"):
+        uc.prepare(generator.sample_batch(Params(n=6, d=2, k=2, t=4, q=2), [SeedSpec(31, 0)]),
+                   [SeedSpec(31, 0)])
+    with pytest.raises(ValueError, match="share one Params"):
+        uc.prepare(strict + generator.sample_batch(Params(n=6, d=3, k=2, t=5, q=2), [SeedSpec(31, 1)]),
+                   [SeedSpec(31, 0), SeedSpec(31, 1)])
+    with pytest.raises(ValueError, match="zip"):
+        uc.prepare(strict, [SeedSpec(31, 0), SeedSpec(31, 1)])
+
+
+def test_success_rate_is_the_per_trial_loop():
+    # one run_point call, batches of BATCH_ROWS // t trials, gives the rate
+    # of one sample_instance and one run_uc per trial
+    for params, trials in ((Params(n=10, d=3, k=2, t=10, q=2), 900), (Params(n=40, d=2, k=3, t=150, q=1), 60)):
+        hits = sum(run_uc(sample_instance(params, SeedSpec(32, j)), SeedSpec(32, j)).found for j in range(trials))
+        assert uc_success_rate(params, trials, 32) == hits / trials
+        assert 0 < hits < trials
+
+
 def test_matches_the_reference_at_scale():
     # uc_large's parameters: the runs cross chunks of WORD_CHUNK words
     params = Params(n=16000, d=2, k=3, t=32000, q=1)
@@ -381,7 +438,7 @@ def test_chunked_words_match_randbelow():
     # 2**63 + 1 rejects about half of all words, so rejections fall across
     # the 7-word chunk boundaries
     bound = 2**63 + 1
-    source = _words(SeedSpec(2024, 0).stream("chunks"), 7)
+    source = _words(SeedSpec(2024, 0).stream("chunks"), 7, iter(()))
     taken = []
 
     def counted():
